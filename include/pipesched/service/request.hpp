@@ -109,6 +109,11 @@ struct Request {
   /// expired deadline turns the outcome into a flagged timeout or a
   /// `degraded` partial front, never a silent truncation.
   Deadline deadline;
+
+  /// 1-based line of the JSONL stream this request was parsed from (0 when
+  /// it came from elsewhere). Display-only, like `name`: it lets an outcome
+  /// line name its input line, whichever thread renders it.
+  std::size_t sourceLine = 0;
 };
 
 /// What one portfolio member contributed to a solved request.

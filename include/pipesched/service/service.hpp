@@ -4,17 +4,19 @@
 //   SchedulingService service(config);
 //   BatchResult out = service.solveBatch(requests);
 //
-// solve() answers one request — cache lookup, then a portfolio race across
-// the pool's workers. solveBatch() processes thousands of requests with
-// bounded parallelism (one pool task per *unique* request; within-request
-// solving stays serial inside its worker so a saturated pool cannot
-// deadlock), deduplicating identical requests via their fingerprint and
-// returning outcomes in input order — byte-identical to solving each request
-// serially, whatever the thread count.
+// Every request, whichever entry point takes it, goes through one lifecycle:
+// cache lookup, then on a miss a portfolio run on the calling thread
+// (members in fixed slot order), store, trace, count. solve() runs it for one
+// request. solveBatch() groups identical requests by fingerprint, looks each
+// *unique* request up on the calling thread, solves each unique miss as one
+// task on the service's pool, stores the misses in input order, and fans
+// each outcome out to its duplicate slots — byte-identical to solving each
+// request serially, whatever the thread count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,8 @@
 namespace pipesched::service {
 
 struct ServiceConfig {
-  /// Pool size; 0 = run everything inline (the serial reference mode).
+  /// Pool size for solveBatch's cross-request fan-out; 0 = run the batch
+  /// inline (the serial reference mode). solve() never uses the pool.
   std::size_t threads = 0;
 
   /// Result-cache entries (0 disables caching) and shard count.
@@ -68,14 +71,8 @@ struct MemberBatchStats {
 
   /// Folds one solve's contribution into this row (counts one run).
   void add(const SolverContribution& c) {
-    runs += 1;
-    points += c.points;
-    novel += c.novel;
-    merged += c.merged;
-    skipped += c.skipped;
-    dropped += c.dropped ? 1 : 0;
-    reused += c.reused;
-    seeded += c.seeded;
+    merge(MemberBatchStats{c.solver, 1, c.points, c.novel, c.merged, c.skipped,
+                           c.dropped ? 1u : 0u, c.reused, c.seeded});
   }
 
   /// Folds another row for the same member into this one.
@@ -109,6 +106,14 @@ struct BatchStats {
   std::uint64_t subHits = 0;
   std::uint64_t subUnitsReused = 0;
   std::vector<MemberBatchStats> members;  ///< per-member totals (fresh solves)
+
+  /// Folds one fresh solve: counts it solved, adds each member's
+  /// contribution to its row (first-seen order) and the sub-result hits.
+  void addSolve(const std::vector<SolverContribution>& solvers);
+
+  /// Folds another call's totals into these (`batch --repeat`); member rows
+  /// merge by solver name, new ones append in first-seen order.
+  void merge(const BatchStats& other);
 };
 
 struct BatchResult {
@@ -122,8 +127,9 @@ class SchedulingService {
 
   [[nodiscard]] const ServiceConfig& config() const noexcept { return config_; }
 
-  /// Solves one request: cache lookup, then a portfolio race on the pool.
-  /// Never throws on solver failure — the outcome carries the error text.
+  /// Solves one request: cache lookup, then on a miss a portfolio run on the
+  /// calling thread. Never throws on solver failure — the outcome carries
+  /// the error text.
   [[nodiscard]] RequestOutcome solve(const Request& request);
 
   /// As above, with the caller's precomputed identity (must be
@@ -154,7 +160,15 @@ class SchedulingService {
   }
 
  private:
-  [[nodiscard]] RequestOutcome solveUncached(const Request& request, ThreadPool* pool);
+  /// The steps of the one request lifecycle, shared by every entry point:
+  /// the cache lookup (a hit comes back counted, its trace sealed); on a
+  /// miss the portfolio run (its stages traced); then the store, which
+  /// caches a complete result, seals the trace and counts the outcome.
+  [[nodiscard]] std::optional<RequestOutcome> lookup(const RequestIdentity& identity,
+                                                     obs::RequestTrace* trace);
+  [[nodiscard]] RequestOutcome solveMiss(const Request& request, const RequestIdentity& identity,
+                                         obs::RequestTrace* trace);
+  void store(const RequestIdentity& identity, RequestOutcome& outcome, obs::RequestTrace* trace);
 
   ServiceConfig config_;
   ResultCache cache_;

@@ -1,4 +1,5 @@
-// Fixed-size worker pool shared by the service's solvers.
+// Fixed-size worker pool behind SchedulingService::solveBatch's
+// cross-request fan-out.
 //
 // Deliberately minimal: submit() hands a task to the workers and returns a
 // future; tasks must not block on other tasks' futures (no work stealing, so
@@ -11,7 +12,7 @@
 // std::packaged_task stores the exception in the future's shared state;
 // future.get() rethrows it, and a discarded future discards it silently.
 // Service-level callers convert it into a failed RequestOutcome instead of
-// letting it reach the pool (see SchedulingService::solveUncached).
+// letting it reach the pool (see SchedulingService::solve).
 #pragma once
 
 #include <condition_variable>

@@ -19,10 +19,9 @@
 // describeOutcome() excludes, depend on timing.
 //
 // Parallelism shape mirrors solveBatch: cross-request concurrency comes from
-// `workers`; within-request solving runs serially inside its worker (leave
-// config.service.threads at 0 — a nonzero value additionally races portfolio
-// members on the service's internal pool, which is safe but rarely useful
-// under multiple stream workers).
+// `workers`; within-request solving runs serially inside its worker
+// (config.service.threads sizes only solveBatch's pool, which the scheduler
+// never calls — leave it at 0).
 //
 // Lifecycle: drain() blocks until everything submitted has completed;
 // close() additionally stops admission and joins the workers (pending work
@@ -36,6 +35,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -49,7 +49,7 @@ namespace pipesched::stream {
 
 struct StreamConfig {
   /// Configuration of the wrapped SchedulingService (cache, portfolio).
-  /// service.threads is the *within-request* pool; keep it 0 (see above).
+  /// service.threads is unused here; keep it 0 (see above).
   service::ServiceConfig service;
 
   /// Consumer threads draining the request channel. 0 = inline execution:
@@ -181,18 +181,31 @@ class AsyncScheduler {
     service::RequestIdentity identity;
     std::promise<service::RequestOutcome> promise;
     Callback callback;
-    /// Enqueue timestamp for the queue-wait stage; stamped in submit() only
-    /// while observability is on (`timed`), so the disabled path never reads
-    /// the clock.
+    /// Enqueue timestamp for the queue-wait stage; stamped at admission only
+    /// while observability is on and there is a queue (`timed`), so the
+    /// disabled path never reads the clock.
     obs::TraceClock::time_point enqueuedAt{};
     bool timed = false;
   };
 
   void workerLoop();
-  std::future<service::RequestOutcome> submitJob(Job job);
+
+  /// The one admission routine behind submit() and trySubmit(): refuses on
+  /// an armed `sched.submit` fault or after close(), otherwise counts the
+  /// job in and runs it inline (workers == 0) or enqueues it — blocking on
+  /// a full channel only when `block`. Returns nullptr once accepted, else
+  /// the refusal message (the caller throws it or reports false).
+  [[nodiscard]] const char* admit(Job& job, bool block);
+
+  /// The worker/inline prologue: records the queue wait, opens the trace
+  /// (parse, queue wait), fingerprints the request, and answers an already
+  /// expired deadline with a flagged timeout (`expiredWhere` names the
+  /// phase). Returns false when the job is thereby finished.
+  [[nodiscard]] bool prologue(Job& job, const char* expiredWhere,
+                              std::optional<obs::RequestTrace>& trace);
+
   [[nodiscard]] service::RequestOutcome solveOne(const Job& job, obs::RequestTrace* trace);
   void finish(Job& job, service::RequestOutcome outcome, bool coalescedCopy);
-  void runInline(Job job);
 
   StreamConfig config_;
   service::SchedulingService service_;

@@ -1,10 +1,13 @@
 // The streaming pump: Source -> AsyncScheduler -> Sink, with bounded memory
 // and ordered incremental emission.
 //
-// runStream() pulls requests lazily from the source, submits them to the
-// scheduler (blocking on channel backpressure), and emits each outcome to
-// the sink in input order as soon as its turn completes. A bounded reorder
-// window (queue capacity + workers) caps how much the pump holds:
+// runStream() pulls requests lazily from the source and submits them to the
+// scheduler (blocking on channel backpressure). Each outcome is emitted to
+// the sink in input order as soon as its turn completes — by the thread that
+// completed it, so a source blocked in next() (a client that waits for the
+// answer before sending its next line) never holds an answer back. A
+// bounded reorder window (queue capacity + workers) caps how much the pump
+// lets in:
 //
 //     live requests  <=  window (queueCapacity + max(workers, 1)) + 1
 //

@@ -3,13 +3,16 @@
 //
 // The engine calls emit() exactly once per request, in input order, as soon
 // as the outcome's turn comes up (head-of-line completion) — not when the
-// whole stream is done. A sink therefore sees results while later requests
-// are still being solved, which is what lets `pipesched serve` answer its
-// first request before its last one has arrived. emit() is always invoked
-// from the engine's pump thread; sinks need not be thread-safe.
+// whole stream is done, and not when the next request is pulled. A sink
+// therefore sees results while later requests are still being solved or
+// have not even arrived, which is what lets `pipesched serve` answer line 1
+// while its client is still thinking about line 2. emit() calls are
+// serialized, in index order — each returns before the next begins — but
+// may come from the pump thread or from whichever scheduler worker completed
+// the head of the line; sinks need not be thread-safe, only thread-agnostic.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -29,6 +32,19 @@ namespace pipesched::stream {
 /// two report formats cannot drift.
 void writeOutcomeFields(io::JsonWriter& w, const std::string& name,
                         const service::RequestOutcome& outcome);
+
+/// Appends one JSONL outcome line (no newline) to `out`:
+/// {"index": I, ["line": N,] <writeOutcomeFields>}. `line` is the 1-based
+/// input line, present when the transport correlates by it (stdio serve and
+/// HTTP /solve, whose lines are byte-identical because both render here).
+void renderOutcomeLine(std::string& out, std::size_t index, std::optional<std::size_t> line,
+                       const service::Request& request,
+                       const service::RequestOutcome& outcome);
+
+/// Appends one parse-error line (no newline) to `out`:
+/// {"line": N, "ok": false, "error": MSG} — the answer stdio serve and HTTP
+/// /solve give a malformed request line.
+void renderParseErrorLine(std::string& out, std::size_t line, const std::string& message);
 
 class Sink {
  public:
@@ -91,15 +107,12 @@ class JsonlSink : public Sink {
 
   /// Shares an external line writer — the `serve` shape, where parse-error
   /// lines from the source side go through the same guarded writer as the
-  /// outcome lines. With `inputLines`, every outcome line additionally
-  /// carries "line": inputLines->front() (then pops it). The caller's source
-  /// pushes one entry per request it hands the engine, in pull order —
-  /// emission is in the same order, so front() is always this outcome's
-  /// input line. This is how `serve` keeps outcomes correlatable with
-  /// request lines even when malformed lines (reported by line number, not
-  /// index) interleave.
-  JsonlSink(JsonlLineWriter& writer, std::deque<std::size_t>* inputLines)
-      : writer_(&writer), inputLines_(inputLines) {}
+  /// outcome lines. With `withLines`, every outcome line additionally
+  /// carries "line": the request's Request::sourceLine — how `serve` keeps
+  /// outcomes correlatable with request lines even when malformed lines
+  /// (reported by line number, not index) interleave.
+  JsonlSink(JsonlLineWriter& writer, bool withLines)
+      : writer_(&writer), withLines_(withLines) {}
 
   void emit(std::size_t index, const service::Request& request,
             const service::RequestOutcome& outcome) override;
@@ -107,7 +120,7 @@ class JsonlSink : public Sink {
  private:
   std::optional<JsonlLineWriter> owned_;  ///< backs the ostream constructor
   JsonlLineWriter* writer_;
-  std::deque<std::size_t>* inputLines_ = nullptr;
+  bool withLines_ = false;
   std::string buffer_;  ///< reused line render buffer (capacity persists)
 };
 

@@ -189,7 +189,7 @@ int runStreamMode(const ArgList& args, std::ostream& out, std::size_t threads,
                   std::size_t repeat, const service::ServiceConfig& serviceConfig) {
   stream::StreamConfig config;
   config.service = serviceConfig;
-  config.service.threads = 0;  // workers are the cross-request parallelism
+  config.service.threads = 0;  // workers are the parallelism; no batch pool
   config.workers = threads;
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
@@ -282,28 +282,8 @@ int cmdBatch(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
   service::BatchStats total = batch.stats;
   for (std::size_t r = 1; r < repeat; ++r) {
     batch = svc.solveBatch(requests);
-    total.requests += batch.stats.requests;
-    total.solved += batch.stats.solved;
-    total.failed += batch.stats.failed;
-    total.cacheHits += batch.stats.cacheHits;
-    total.deduped += batch.stats.deduped;
-    total.subHits += batch.stats.subHits;
-    total.subUnitsReused += batch.stats.subUnitsReused;
-    total.wallSeconds += batch.stats.wallSeconds;
-    for (const service::MemberBatchStats& m : batch.stats.members) {
-      auto it = std::find_if(total.members.begin(), total.members.end(),
-                             [&](const service::MemberBatchStats& t) {
-                               return t.solver == m.solver;
-                             });
-      if (it == total.members.end()) {
-        total.members.push_back(m);
-      } else {
-        it->merge(m);
-      }
-    }
+    total.merge(batch.stats);
   }
-  total.requestsPerSecond =
-      total.wallSeconds > 0 ? static_cast<double>(total.requests) / total.wallSeconds : 0;
   const std::size_t failedFinalPass = batch.stats.failed;
   batch.stats = total;
   const service::CacheStats cache = svc.cacheStats();

@@ -29,7 +29,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -222,8 +221,8 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
 
   stream::StreamConfig config;
   config.service = serviceConfigFromArgs(args);
-  config.workers = config.service.threads;  // cross-request parallelism...
-  config.service.threads = 0;               // ...within-request stays serial
+  config.workers = config.service.threads;  // --threads sizes the workers;
+  config.service.threads = 0;               // the batch pool stays unstarted
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   std::unique_ptr<std::ifstream> file;
@@ -250,39 +249,27 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
                              [&](std::size_t line, const std::string& message) {
                                ++parseErrors;
                                errorBuffer.clear();
-                               io::StringOutStream buffer(errorBuffer);
-                               io::JsonWriter w(buffer, /*pretty=*/false);
-                               w.beginObject();
-                               w.kv("line", line);
-                               w.kv("ok", false);
-                               w.kv("error", message);
-                               w.endObject();
+                               stream::renderParseErrorLine(errorBuffer, line, message);
                                lineWriter.writeLine(errorBuffer);
                              });
 
-  // Tag each request with the input line it came from so outcome lines stay
-  // correlatable even when malformed lines interleave: the wrapper records
-  // the line per pull, and the sink pops in the same (input) order. The same
-  // wrapper is the shutdown admission gate: once a stop was requested, next()
-  // reports end-of-stream — the engine then drains what was accepted.
-  std::deque<std::size_t> inputLines;
-  class TaggingSource : public stream::Source {
+  // The shutdown admission gate: once a stop was requested, next() reports
+  // end-of-stream — the engine then drains what was accepted.
+  class GatedSource : public stream::Source {
    public:
-    TaggingSource(stream::JsonlSource& inner, std::deque<std::size_t>& lines)
-        : inner_(&inner), lines_(&lines) {}
+    explicit GatedSource(stream::JsonlSource& inner) : inner_(&inner) {}
     std::optional<service::Request> next() override {
       if (g_shutdownRequested.load()) return std::nullopt;  // refuse new work
-      std::optional<service::Request> request = inner_->next();
-      if (request) lines_->push_back(inner_->linesRead());
-      return request;
+      return inner_->next();
     }
 
    private:
     stream::JsonlSource* inner_;
-    std::deque<std::size_t>* lines_;
   };
-  TaggingSource tagged(source, inputLines);
-  stream::JsonlSink sink(lineWriter, &inputLines);
+  GatedSource gated(source);
+  // Outcome lines carry each request's input line, so they stay correlatable
+  // even when malformed lines interleave.
+  stream::JsonlSink sink(lineWriter, /*withLines=*/true);
   stream::AsyncScheduler scheduler(config);
 
   // Snapshot lines share a guarded whole-line writer so they can never
@@ -300,7 +287,7 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
   stream::EngineStats stats;
   {
     SnapshotEmitter emitter(statsInterval, emitSnapshot);
-    stats = stream::runStream(tagged, sink, scheduler);
+    stats = stream::runStream(gated, sink, scheduler);
     emitter.stop();
   }
   // Terminal snapshot on clean EOF and on drain-after-signal alike, even
@@ -360,7 +347,8 @@ int serveListen(const ArgList& args, const std::string& listenSpec, std::ostream
   stream::StreamConfig config;
   config.service = serviceConfigFromArgs(args);
   // Solves must run off the event loop: at least one worker even under
-  // --serial (within-request solving stays serial either way).
+  // --serial (within-request solving stays serial either way). The service's
+  // batch pool is never used here, so it starts no threads.
   config.workers = std::max<std::size_t>(1, config.service.threads);
   config.service.threads = 0;
   config.queueCapacity = args.getSize("queue-capacity", 64);

@@ -13,6 +13,7 @@
 #include "pipesched/net/server.hpp"
 #include "pipesched/obs/exposition.hpp"
 #include "pipesched/obs/metrics.hpp"
+#include "pipesched/obs/trace.hpp"
 #include "pipesched/stream/async_scheduler.hpp"
 #include "pipesched/stream/sink.hpp"
 
@@ -46,49 +47,6 @@ struct PendingSolve {
   }
 };
 
-/// Render buffer reused across lines. Outcome lines are rendered from
-/// whichever scheduler worker lands the outcome, so the reuse is per-thread:
-/// each worker keeps one buffer whose capacity persists, and warm rendering
-/// allocates only the returned copy.
-std::string& renderBuffer() {
-  thread_local std::string buffer;
-  buffer.clear();
-  return buffer;
-}
-
-/// One outcome line, byte-identical to stdio serve's JsonlSink::emit:
-/// {"index": I, "line": N, <writeOutcomeFields>}. `index` counts requests
-/// (0-based, parse errors excluded) and `line` is the 1-based input line —
-/// both scoped to this POST body, exactly like one stdio serve run over the
-/// same lines.
-std::string renderOutcomeLine(std::size_t index, std::size_t line,
-                              const service::Request& request,
-                              const service::RequestOutcome& outcome) {
-  std::string& buffer = renderBuffer();
-  io::StringOutStream out(buffer);
-  io::JsonWriter w(out, /*pretty=*/false);
-  w.beginObject();
-  w.kv("index", index);
-  w.kv("line", line);
-  stream::writeOutcomeFields(w, request.name, outcome);
-  w.endObject();
-  return buffer;
-}
-
-/// A parse-error line, byte-identical to the stdio serve error handler:
-/// {"line": N, "ok": false, "error": MSG}.
-std::string renderParseErrorLine(std::size_t line, const std::string& message) {
-  std::string& buffer = renderBuffer();
-  io::StringOutStream out(buffer);
-  io::JsonWriter w(out, /*pretty=*/false);
-  w.beginObject();
-  w.kv("line", line);
-  w.kv("ok", false);
-  w.kv("error", message);
-  w.endObject();
-  return buffer;
-}
-
 void handleSolve(HttpServer& server, stream::AsyncScheduler& scheduler,
                  const ServeEndpointsConfig& config, const HttpRequest& request,
                  HttpServer::Done done) {
@@ -120,23 +78,21 @@ void handleSolve(HttpServer& server, stream::AsyncScheduler& scheduler,
   // any response bytes are promised.
   auto pending = std::make_shared<PendingSolve>();
   struct Parsed {
-    Parsed(service::Request r, std::size_t s, std::size_t i, std::size_t l)
-        : request(std::move(r)), slot(s), index(i), line(l) {}
+    Parsed(service::Request r, std::size_t s) : request(std::move(r)), slot(s) {}
     service::Request request;
-    std::size_t slot;   ///< position among all body lines
-    std::size_t index;  ///< request index (parse errors excluded)
-    std::size_t line;   ///< 1-based input line within the body
+    std::size_t slot;  ///< position among all body lines
   };
   std::vector<Parsed> requests;
   std::istringstream body(request.body);
   stream::JsonlSource source(body, defaults,
                              [&](std::size_t line, const std::string& message) {
-                               pending->lines.push_back(renderParseErrorLine(line, message));
+                               stream::renderParseErrorLine(pending->lines.emplace_back(),
+                                                            line, message);
                              });
   while (auto next = source.next()) {
     const std::size_t slot = pending->lines.size();
     pending->lines.emplace_back();  // filled when the outcome lands
-    requests.emplace_back(std::move(*next), slot, requests.size(), source.linesRead());
+    requests.emplace_back(std::move(*next), slot);
   }
 
   pending->remaining = requests.size();
@@ -148,20 +104,28 @@ void handleSolve(HttpServer& server, stream::AsyncScheduler& scheduler,
   }
   pending->done = std::move(done);
 
-  for (Parsed& parsed : requests) {
-    const std::size_t slot = parsed.slot;
-    const std::size_t index = parsed.index;
-    const std::size_t line = parsed.line;
+  // A request's index counts well-formed lines only: its place in `requests`.
+  for (std::size_t index = 0; index < requests.size(); ++index) {
+    const std::size_t slot = requests[index].slot;
     const bool accepted = scheduler.trySubmit(
-        std::move(parsed.request),
-        [pending, slot, index, line](const service::Request& req,
-                                     const service::RequestOutcome& outcome) {
-          std::string rendered = renderOutcomeLine(index, line, req, outcome);
+        std::move(requests[index].request),
+        [pending, slot, index](const service::Request& req,
+                               const service::RequestOutcome& outcome) {
+          {
+            // Each slot has exactly one writer, and the last landing reads
+            // them all under the mutex after every writer's decrement — so
+            // the render goes straight into the slot, outside the lock.
+            // Byte-identical to stdio serve's line: `index` counts requests
+            // (0-based, parse errors excluded) and `line` is the 1-based
+            // input line, both scoped to this POST body.
+            obs::TraceSpan emitSpan(obs::Stage::kEmit);
+            stream::renderOutcomeLine(pending->lines[slot], index, req.sourceLine, req,
+                                      outcome);
+          }
           if (outcome.timedOut) {
             obs::registry().counter(obs::names::kNetTimeout).add();
           }
           std::unique_lock<std::mutex> lock(pending->mutex);
-          pending->lines[slot] = std::move(rendered);
           if (outcome.timedOut) ++pending->timedOut;
           const bool last = --pending->remaining == 0;
           if (!last || pending->abandoned) return;

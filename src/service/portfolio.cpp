@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <functional>
-#include <future>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -641,8 +639,8 @@ std::vector<std::unique_ptr<PortfolioMember>> makePortfolioMembers(
 }
 
 PortfolioResult runPortfolio(const core::Evaluator& eval, const SweepSpec& sweep,
-                             const PortfolioConfig& config, ThreadPool* pool,
-                             const SubShare* share, const Deadline& requestDeadline) {
+                             const PortfolioConfig& config, const SubShare* share,
+                             const Deadline& requestDeadline) {
   if (sweep.points == 0) throw ModelError("runPortfolio: sweep.points must be >= 1");
   if (sweep.range <= 1) throw ModelError("runPortfolio: sweep.range must be > 1");
 
@@ -652,7 +650,7 @@ PortfolioResult runPortfolio(const core::Evaluator& eval, const SweepSpec& sweep
       Deadline::earlier(Deadline::in(config.budget.timeBudgetMs), requestDeadline);
 
   // The accepted-member list is a pure function of (instance, config), so
-  // slot order — and with it the merge — is identical serial vs pooled.
+  // slot order — and with it the merge — is too.
   std::vector<std::unique_ptr<PortfolioMember>> members;
   bool exactUsed = false;
   for (std::unique_ptr<PortfolioMember>& member : makePortfolioMembers(config)) {
@@ -662,35 +660,9 @@ PortfolioResult runPortfolio(const core::Evaluator& eval, const SweepSpec& sweep
   }
   std::vector<Slot> slots(members.size());
 
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slots.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const PortfolioMember* member = members[i].get();
-    Slot* slot = &slots[i];
-    tasks.push_back([&eval, member, &sweep, &config, &deadline, share, slot] {
-      runMember(*member, eval, sweep, config, deadline, share, *slot);
-    });
-  }
-
   const Clock::time_point raceStart = Clock::now();
-  if (pool != nullptr && pool->threadCount() > 0) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(tasks.size());
-    for (auto& task : tasks) futures.push_back(pool->submit(std::move(task)));
-    // Join EVERY member before unwinding: the tasks hold pointers into this
-    // frame, so rethrowing while some are still queued would leave workers
-    // writing through dangling pointers.
-    std::exception_ptr firstError;
-    for (auto& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!firstError) firstError = std::current_exception();
-      }
-    }
-    if (firstError) std::rethrow_exception(firstError);
-  } else {
-    for (auto& task : tasks) task();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    runMember(*members[i], eval, sweep, config, deadline, share, slots[i]);
   }
 
   const Clock::time_point mergeStart = Clock::now();
@@ -700,7 +672,7 @@ PortfolioResult runPortfolio(const core::Evaluator& eval, const SweepSpec& sweep
   result.memberRaceSeconds = std::chrono::duration<double>(mergeStart - raceStart).count();
   // Remember each slot's coordinates before the merge consumes its points:
   // paretoFront keeps the FIRST representative of duplicate coordinates, so
-  // the first slot (race order) holding a front point's coordinates is the
+  // the first slot (slot order) holding a front point's coordinates is the
   // member that contributed it.
   std::vector<std::vector<std::pair<Real, Real>>> coords(slots.size());
   std::vector<core::ParetoPoint> all;

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -18,20 +20,35 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Folds one fresh solve's contributions into the batch's per-member rows
-/// (first-seen order — deterministic because solves are folded in input
-/// order and members race in fixed catalog order).
-void accumulateMemberStats(std::vector<MemberBatchStats>& members,
-                           const std::vector<SolverContribution>& solvers) {
-  for (const SolverContribution& c : solvers) {
-    auto it = std::find_if(members.begin(), members.end(),
-                           [&](const MemberBatchStats& m) { return m.solver == c.solver; });
-    if (it == members.end()) {
-      members.push_back(MemberBatchStats{c.solver});
-      it = std::prev(members.end());
-    }
-    it->add(c);
+/// The batch row of `solver`, appended on first sight — rows stay in
+/// first-seen order, which is deterministic because solves are folded in
+/// input order and members race in fixed catalog order.
+MemberBatchStats& memberRow(std::vector<MemberBatchStats>& rows, const std::string& solver) {
+  auto it = std::find_if(rows.begin(), rows.end(),
+                         [&](const MemberBatchStats& m) { return m.solver == solver; });
+  if (it != rows.end()) return *it;
+  return rows.emplace_back(MemberBatchStats{solver});
+}
+
+/// Opens a request's trace (its parse stage) when tracing is on.
+std::optional<obs::RequestTrace> openTrace(const Request& request) {
+  std::optional<obs::RequestTrace> trace;
+  if (obs::tracingEnabled()) {
+    trace.emplace();
+    trace->totalSeconds = request.parseSeconds;
+    if (request.parseSeconds > 0) trace->add(obs::Stage::kParse, request.parseSeconds);
   }
+  return trace;
+}
+
+/// Walks the request's identity under a fingerprint span, folded into
+/// `trace` when one is open.
+RequestIdentity identify(const Request& request, std::optional<obs::RequestTrace>& trace) {
+  obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, trace ? &*trace : nullptr);
+  RequestIdentity identity = requestIdentity(request);
+  const double fingerprintSeconds = fingerprintSpan.stop();
+  if (trace) trace->totalSeconds += fingerprintSeconds;
+  return identity;
 }
 
 /// Adds a fresh solve's stage timings and per-member walls to `trace`.
@@ -47,6 +64,8 @@ void addSolveStages(obs::RequestTrace& trace, const PortfolioResult& result) {
 }
 
 /// Registry counters mirroring the solved/cache-hit/failed outcome buckets.
+/// An in-batch duplicate counts only as failed or degraded: its work and its
+/// lookup belong to the slot it copies.
 void countOutcome(const RequestOutcome& outcome) {
   if (!obs::metricsEnabled()) return;
   static obs::Counter& solved = obs::registry().counter(obs::names::kRequestsSolved);
@@ -54,17 +73,37 @@ void countOutcome(const RequestOutcome& outcome) {
   static obs::Counter& failed = obs::registry().counter(obs::names::kRequestsFailed);
   if (!outcome.ok) {
     failed.add();
-  } else if (outcome.fromCache) {
-    cacheHits.add();
-  } else {
-    solved.add();
-    if (outcome.result.degraded) {
-      obs::registry().counter(obs::names::kDegradedResponses).add();
-    }
+    return;
+  }
+  if (!outcome.deduped) (outcome.fromCache ? cacheHits : solved).add();
+  if (outcome.result.degraded) {
+    obs::registry().counter(obs::names::kDegradedResponses).add();
   }
 }
 
 }  // namespace
+
+void BatchStats::addSolve(const std::vector<SolverContribution>& solvers) {
+  solved += 1;
+  for (const SolverContribution& c : solvers) {
+    memberRow(members, c.solver).add(c);
+    subHits += c.reused + c.seeded;
+    subUnitsReused += c.reused;
+  }
+}
+
+void BatchStats::merge(const BatchStats& other) {
+  requests += other.requests;
+  solved += other.solved;
+  failed += other.failed;
+  cacheHits += other.cacheHits;
+  deduped += other.deduped;
+  wallSeconds += other.wallSeconds;
+  requestsPerSecond = wallSeconds > 0 ? static_cast<double>(requests) / wallSeconds : 0;
+  subHits += other.subHits;
+  subUnitsReused += other.subUnitsReused;
+  for (const MemberBatchStats& m : other.members) memberRow(members, m.solver).merge(m);
+}
 
 SchedulingService::SchedulingService(ServiceConfig config)
     : config_(config),
@@ -72,63 +111,30 @@ SchedulingService::SchedulingService(ServiceConfig config)
       subCache_(config.shareSubResults ? config.subCacheCapacity : 0, config.subCacheShards),
       pool_(config.threads) {}
 
-RequestOutcome SchedulingService::solveUncached(const Request& request, ThreadPool* pool) {
-  RequestOutcome outcome;
-  try {
-    const core::Evaluator eval(request.pipeline, request.platform, request.model);
-    // Cross-request work sharing: bind this solve to the sub-result cache
-    // under the instance's sweep-independent identity. Safe under one fixed
-    // portfolio config (this service's), whatever the pool interleaving —
-    // memoized units are pure functions of their keys.
-    std::optional<SubShare> share;
-    if (subCache_.capacity() > 0) {
-      share.emplace(&subCache_, instanceFingerprint(request));
-    }
-    outcome.result = runPortfolio(eval, request.sweep, config_.portfolio, pool,
-                                  share ? &*share : nullptr, request.deadline);
-    outcome.ok = true;
-  } catch (const std::exception& e) {
-    outcome.ok = false;
-    outcome.error = e.what();
-  } catch (...) {
-    // A non-std exception from a solver must still land in the outcome slot:
-    // letting it fly through a pool task's future would eventually surface as
-    // an opaque rethrow (or std::terminate in a detached context), sinking
-    // the whole batch for one bad request.
-    outcome.ok = false;
-    outcome.error = "unknown exception while solving";
-  }
-  return outcome;
-}
-
 RequestOutcome SchedulingService::solve(const Request& request) {
-  if (!obs::tracingEnabled()) {
-    return solve(request, requestIdentity(request), nullptr);
-  }
-  obs::RequestTrace trace;
-  trace.totalSeconds = request.parseSeconds;
-  if (request.parseSeconds > 0) trace.add(obs::Stage::kParse, request.parseSeconds);
-  obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, &trace);
-  const RequestIdentity identity = requestIdentity(request);
-  trace.totalSeconds += fingerprintSpan.stop();
-  return solve(request, identity, &trace);
+  std::optional<obs::RequestTrace> trace = openTrace(request);
+  const RequestIdentity identity = identify(request, trace);
+  return solve(request, identity, trace ? &*trace : nullptr);
 }
 
 RequestOutcome SchedulingService::solve(const Request& request,
                                         const RequestIdentity& identity) {
-  if (!obs::tracingEnabled()) {
-    return solve(request, identity, nullptr);
-  }
   // The identity walk happened outside; its cost is the caller's to report.
-  obs::RequestTrace trace;
-  trace.totalSeconds = request.parseSeconds;
-  if (request.parseSeconds > 0) trace.add(obs::Stage::kParse, request.parseSeconds);
-  return solve(request, identity, &trace);
+  std::optional<obs::RequestTrace> trace = openTrace(request);
+  return solve(request, identity, trace ? &*trace : nullptr);
 }
 
 RequestOutcome SchedulingService::solve(const Request& request,
                                         const RequestIdentity& identity,
                                         obs::RequestTrace* trace) {
+  if (std::optional<RequestOutcome> hit = lookup(identity, trace)) return std::move(*hit);
+  RequestOutcome outcome = solveMiss(request, identity, trace);
+  store(identity, outcome, trace);
+  return outcome;
+}
+
+std::optional<RequestOutcome> SchedulingService::lookup(const RequestIdentity& identity,
+                                                        obs::RequestTrace* trace) {
   obs::TraceSpan lookupSpan(obs::Stage::kCacheLookup, trace);
   // Armed `cache.get` faults force a miss — the solve path must stay correct
   // (if slower) when the cache tier misbehaves.
@@ -138,21 +144,55 @@ RequestOutcome SchedulingService::solve(const Request& request,
   }
   const double lookupSeconds = lookupSpan.stop();
   if (trace != nullptr) trace->totalSeconds += lookupSeconds;
-  if (cached) {
-    RequestOutcome outcome;
-    outcome.ok = true;
-    outcome.result = std::move(*cached);
-    outcome.fromCache = true;
-    outcome.fingerprint = identity.fp;
-    if (trace != nullptr) {
-      outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
-    }
-    countOutcome(outcome);
-    return outcome;
-  }
-  const Clock::time_point solveStart = trace != nullptr ? Clock::now() : Clock::time_point{};
-  RequestOutcome outcome = solveUncached(request, &pool_);
+  if (!cached) return std::nullopt;
+  RequestOutcome outcome;
+  outcome.ok = true;
+  outcome.result = std::move(*cached);
+  outcome.fromCache = true;
   outcome.fingerprint = identity.fp;
+  if (trace != nullptr) {
+    outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
+  }
+  countOutcome(outcome);
+  return outcome;
+}
+
+RequestOutcome SchedulingService::solveMiss(const Request& request,
+                                            const RequestIdentity& identity,
+                                            obs::RequestTrace* trace) {
+  const Clock::time_point solveStart = trace != nullptr ? Clock::now() : Clock::time_point{};
+  RequestOutcome outcome;
+  try {
+    const core::Evaluator eval(request.pipeline, request.platform, request.model);
+    // Cross-request work sharing: bind this solve to the sub-result cache
+    // under the instance's sweep-independent identity. Safe however many
+    // solves run at once under this service's one portfolio config —
+    // memoized units are pure functions of their keys.
+    std::optional<SubShare> share;
+    if (subCache_.capacity() > 0) {
+      share.emplace(&subCache_, instanceFingerprint(request));
+    }
+    outcome.result = runPortfolio(eval, request.sweep, config_.portfolio,
+                                  share ? &*share : nullptr, request.deadline);
+    outcome.ok = true;
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  } catch (...) {
+    // A non-std exception from a solver must still land in the outcome:
+    // letting it fly through a pool task's future would eventually surface
+    // as an opaque rethrow, sinking the whole batch for one bad request.
+    outcome.error = "unknown exception while solving";
+  }
+  outcome.fingerprint = identity.fp;
+  if (trace != nullptr) {
+    trace->totalSeconds += std::chrono::duration<double>(Clock::now() - solveStart).count();
+    if (outcome.ok) addSolveStages(*trace, outcome.result);
+  }
+  return outcome;
+}
+
+void SchedulingService::store(const RequestIdentity& identity, RequestOutcome& outcome,
+                              obs::RequestTrace* trace) {
   // Degraded (deadline/failure-cut) fronts are partial by timing accident —
   // caching one would serve the truncation to every later identical request.
   if (outcome.ok && !outcome.result.degraded &&
@@ -160,12 +200,9 @@ RequestOutcome SchedulingService::solve(const Request& request,
     cache_.put(identity.fp, identity.key, outcome.result);
   }
   if (trace != nullptr) {
-    trace->totalSeconds += std::chrono::duration<double>(Clock::now() - solveStart).count();
-    if (outcome.ok) addSolveStages(*trace, outcome.result);
     outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
   }
   countOutcome(outcome);
-  return outcome;
 }
 
 BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) {
@@ -175,91 +212,54 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
   batch.outcomes.resize(requests.size());
   batch.stats.requests = requests.size();
 
-  const bool tracing = obs::tracingEnabled();
-
-  // Group identical requests: each canonical key is solved exactly once.
+  // Group identical requests: each canonical key is solved exactly once, by
+  // its first slot, whose trace the group carries (a duplicate slot shares
+  // it, like the result it shares).
   struct Group {
-    Fingerprint fp;
+    RequestIdentity identity;
     std::vector<std::size_t> indices;  // input slots sharing this key
-    obs::RequestTrace trace;           // assembled only when tracing
+    std::optional<obs::RequestTrace> trace;
   };
-  std::unordered_map<std::string, Group> groups;
-  std::vector<const std::string*> keyOrder;  // deterministic iteration order
+  std::vector<Group> groups;
+  groups.reserve(requests.size());  // never reallocates: `byKey` views keys in place
+  std::unordered_map<std::string_view, std::size_t> byKey;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint);
-    RequestIdentity identity = requestIdentity(requests[i]);  // one walk: key + hash
-    const double fingerprintSeconds = fingerprintSpan.stop();
-    auto [it, inserted] = groups.try_emplace(std::move(identity.key));
-    if (inserted) {
-      it->second.fp = identity.fp;
-      keyOrder.push_back(&it->first);
-      if (tracing) {
-        // The group's trace describes the representative slot's journey; a
-        // duplicate slot shares it (like the result it shares).
-        obs::RequestTrace& trace = it->second.trace;
-        const double parse = requests[i].parseSeconds;
-        if (parse > 0) trace.add(obs::Stage::kParse, parse);
-        trace.add(obs::Stage::kFingerprint, fingerprintSeconds);
-        trace.totalSeconds = parse + fingerprintSeconds;
-      }
+    std::optional<obs::RequestTrace> trace = openTrace(requests[i]);
+    RequestIdentity identity = identify(requests[i], trace);
+    if (const auto found = byKey.find(identity.key); found != byKey.end()) {
+      groups[found->second].indices.push_back(i);
+      continue;
     }
-    it->second.indices.push_back(i);
+    Group& group = groups.emplace_back(Group{std::move(identity), {i}, std::move(trace)});
+    byKey.emplace(group.identity.key, groups.size() - 1);
   }
 
-  // Resolve cache hits up front; solve the misses with one pool task per
-  // unique request (within-request solving stays serial in its worker — a
-  // task blocking on sub-tasks could deadlock a saturated pool).
-  struct Miss {
-    const std::string* key;  // stable pointer into `groups`
-    Group* group;            // non-const: the accounting loop moves its trace out
-  };
-  std::vector<Miss> misses;
-  std::vector<RequestOutcome> missOutcomes;
-  for (const std::string* key : keyOrder) {
-    Group& group = groups.at(*key);
-    obs::TraceSpan lookupSpan(obs::Stage::kCacheLookup, tracing ? &group.trace : nullptr);
-    std::optional<PortfolioResult> cached;
-    if (!fault::injected(fault::sites::kCacheGet)) {
-      cached = cache_.get(group.fp, *key);
-    }
-    const double lookupSeconds = lookupSpan.stop();
-    if (tracing) group.trace.totalSeconds += lookupSeconds;
-    if (cached) {
-      RequestOutcome outcome;
-      outcome.ok = true;
-      outcome.result = std::move(*cached);
-      outcome.fromCache = true;
-      outcome.fingerprint = group.fp;
-      if (tracing) {
-        outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(group.trace));
-      }
-      batch.outcomes[group.indices.front()] = std::move(outcome);
-      batch.stats.cacheHits += 1;
+  // Cache hits are answered up front, on the calling thread; then each miss
+  // is one pool task (within-request solving stays serial in its worker — a
+  // task blocking on sub-tasks could deadlock a saturated pool). Misses are
+  // stored after the join, in group order, so which entries a small cache
+  // keeps does not depend on which task finished first.
+  std::vector<Group*> misses;
+  for (Group& group : groups) {
+    if (std::optional<RequestOutcome> hit =
+            lookup(group.identity, group.trace ? &*group.trace : nullptr)) {
+      batch.outcomes[group.indices.front()] = std::move(*hit);
     } else {
-      misses.push_back(Miss{key, &group});
+      misses.push_back(&group);
     }
   }
-  missOutcomes.resize(misses.size());
-  // Per-miss solve wall, measured inside each task (only read when tracing:
-  // it feeds totalSeconds, whose invariant is stages sum <= total).
-  std::vector<double> missSolveSeconds(misses.size(), 0.0);
   {
     std::vector<std::future<void>> futures;
     futures.reserve(misses.size());
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const Request* request = &requests[misses[m].group->indices.front()];
-      RequestOutcome* out = &missOutcomes[m];
-      double* solveSeconds = &missSolveSeconds[m];
-      futures.push_back(pool_.submit([this, request, out, solveSeconds, tracing] {
-        const Clock::time_point solveStart = tracing ? Clock::now() : Clock::time_point{};
-        *out = solveUncached(*request, nullptr);
-        if (tracing) {
-          *solveSeconds = std::chrono::duration<double>(Clock::now() - solveStart).count();
-        }
+    for (Group* group : misses) {
+      futures.push_back(pool_.submit([this, &requests, &batch, group] {
+        const std::size_t slot = group->indices.front();
+        batch.outcomes[slot] = solveMiss(requests[slot], group->identity,
+                                         group->trace ? &*group->trace : nullptr);
       }));
     }
-    // Join every task before any unwind: they write through pointers into
-    // missOutcomes/requests, which must outlive all of them.
+    // Join every task before any unwind: they write through references into
+    // this frame, which must outlive all of them.
     std::exception_ptr firstError;
     for (auto& future : futures) {
       try {
@@ -270,67 +270,35 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
     }
     if (firstError) std::rethrow_exception(firstError);
   }
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    Group& group = *misses[m].group;
-    RequestOutcome& out = missOutcomes[m];
-    out.fingerprint = group.fp;
-    if (tracing) {
-      group.trace.totalSeconds += missSolveSeconds[m];
-      if (out.ok) addSolveStages(group.trace, out.result);
-      out.trace = std::make_shared<const obs::RequestTrace>(std::move(group.trace));
-    }
-    if (out.ok) {
-      if (!out.result.degraded && !fault::injected(fault::sites::kCachePut)) {
-        cache_.put(group.fp, *misses[m].key, out.result);
-      }
-      batch.stats.solved += 1;
-      accumulateMemberStats(batch.stats.members, out.result.solvers);
-      for (const SolverContribution& c : out.result.solvers) {
-        batch.stats.subHits += c.reused + c.seeded;
-        batch.stats.subUnitsReused += c.reused;
-      }
-    }
-    batch.outcomes[group.indices.front()] = std::move(out);
-  }
 
-  // Fan each group's outcome out to its duplicate slots. Every slot lands in
-  // exactly one stats bucket: duplicates of a *failed* group count under
-  // `failed` below, not under `deduped`, so the buckets sum to `requests`.
-  for (const std::string* key : keyOrder) {
-    const Group& group = groups.at(*key);
-    const RequestOutcome& first = batch.outcomes[group.indices.front()];
+  // Stores and stats in group (first-seen) order, then each group's outcome
+  // fanned out to its duplicate slots. Every slot lands in exactly one stats
+  // bucket: duplicates of a *failed* group count under `failed`, not
+  // `deduped`, so the buckets sum to `requests`.
+  for (Group& group : groups) {
+    RequestOutcome& first = batch.outcomes[group.indices.front()];
+    if (!first.fromCache) store(group.identity, first, group.trace ? &*group.trace : nullptr);
+    if (!first.ok) {
+      batch.stats.failed += group.indices.size();
+    } else if (first.fromCache) {
+      batch.stats.cacheHits += 1;
+    } else {
+      batch.stats.addSolve(first.result.solvers);
+    }
     for (std::size_t d = 1; d < group.indices.size(); ++d) {
-      RequestOutcome copy = first;
+      RequestOutcome& copy = batch.outcomes[group.indices[d]];
+      copy = first;
       copy.deduped = true;
-      batch.outcomes[group.indices[d]] = std::move(copy);
+      countOutcome(copy);
       if (first.ok) batch.stats.deduped += 1;
     }
   }
 
-  std::size_t degradedResponses = 0;
-  for (const RequestOutcome& outcome : batch.outcomes) {
-    if (!outcome.ok) {
-      batch.stats.failed += 1;
-    } else if (outcome.result.degraded) {
-      degradedResponses += 1;
-    }
-  }
   batch.stats.wallSeconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   if (batch.stats.wallSeconds > 0) {
     batch.stats.requestsPerSecond =
         static_cast<double>(batch.stats.requests) / batch.stats.wallSeconds;
-  }
-  if (obs::metricsEnabled()) {
-    static obs::Counter& solved = obs::registry().counter(obs::names::kRequestsSolved);
-    static obs::Counter& cacheHits = obs::registry().counter(obs::names::kRequestsCacheHit);
-    static obs::Counter& failed = obs::registry().counter(obs::names::kRequestsFailed);
-    solved.add(batch.stats.solved);
-    cacheHits.add(batch.stats.cacheHits);
-    failed.add(batch.stats.failed);
-    if (degradedResponses > 0) {
-      obs::registry().counter(obs::names::kDegradedResponses).add(degradedResponses);
-    }
   }
   return batch;
 }
@@ -351,8 +319,8 @@ std::string describeOutcome(const RequestOutcome& outcome) {
   }
   for (const SolverContribution& c : r.solvers) {
     os << c.solver << ':' << c.points << (c.completed ? "" : "!");
-    // Drop-policy skips are part of the deterministic result (identical
-    // serial vs pooled), so they belong in the canonical rendering too.
+    // Drop-policy skips are part of the deterministic result, so they
+    // belong in the canonical rendering too.
     if (c.skipped > 0) os << '~' << c.skipped;
     os << '\n';
   }

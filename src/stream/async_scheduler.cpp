@@ -99,51 +99,54 @@ void AsyncScheduler::finish(Job& job, service::RequestOutcome outcome, bool coal
   allDone_.notify_all();
 }
 
-void AsyncScheduler::workerLoop() {
-  while (std::optional<Job> popped = channel_.pop()) {
-    Job job = std::move(*popped);
-    // Observability prologue: queue wait (submit -> this pop) and a sample
-    // of the post-pop queue depth. `job.timed` gates the clock read, the
-    // metrics flag gates the registry — both off costs two branches.
-    double queueWait = 0;
-    if (job.timed) queueWait = obs::secondsSince(job.enqueuedAt);
+bool AsyncScheduler::prologue(Job& job, const char* expiredWhere,
+                              std::optional<obs::RequestTrace>& trace) {
+  // Queue wait (admission -> this pop) and a sample of the post-pop queue
+  // depth, for queued jobs only. `job.timed` gates the clock read, the
+  // metrics flag gates the registry — both off costs two branches.
+  double queueWait = 0;
+  if (job.timed) {
+    queueWait = obs::secondsSince(job.enqueuedAt);
     if (obs::metricsEnabled()) {
-      if (job.timed) obs::stageHistogram(obs::Stage::kQueueWait).recordSeconds(queueWait);
+      obs::stageHistogram(obs::Stage::kQueueWait).recordSeconds(queueWait);
       static obs::Histogram& depth =
           obs::registry().histogram(obs::names::kQueueDepth, obs::Unit::kCount);
       depth.record(channel_.size());
     }
+  }
+  if (obs::tracingEnabled()) {
+    trace.emplace();
+    trace->totalSeconds = job.request.parseSeconds + queueWait;
+    if (job.request.parseSeconds > 0) {
+      trace->add(obs::Stage::kParse, job.request.parseSeconds);
+    }
+    if (job.timed) trace->add(obs::Stage::kQueueWait, queueWait);
+  }
+  // Canonicalize on the worker, not in submit(): a single producer thread
+  // (the engine pump, a serve loop) must not serialize the per-request
+  // walk that N workers could do in parallel.
+  obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, trace ? &*trace : nullptr);
+  job.identity = service::requestIdentity(job.request);
+  const double fingerprintSeconds = fingerprintSpan.stop();
+  if (trace) trace->totalSeconds += fingerprintSeconds;
+  if (!job.request.deadline.expired()) return true;
+  // A request that expired before its turn is answered with a flagged
+  // timeout and never solved: under saturation, burning a worker on a result
+  // nobody can use anymore only pushes every later deadline over too.
+  service::RequestOutcome outcome = timeoutOutcome(job.identity.fp, expiredWhere);
+  if (trace) outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
+  if (obs::metricsEnabled()) {
+    obs::registry().counter(obs::names::kTimeoutQueueExpired).add();
+  }
+  finish(job, std::move(outcome), /*coalescedCopy=*/false);
+  return false;
+}
+
+void AsyncScheduler::workerLoop() {
+  while (std::optional<Job> popped = channel_.pop()) {
+    Job job = std::move(*popped);
     std::optional<obs::RequestTrace> trace;
-    if (obs::tracingEnabled()) {
-      trace.emplace();
-      trace->totalSeconds = job.request.parseSeconds + queueWait;
-      if (job.request.parseSeconds > 0) {
-        trace->add(obs::Stage::kParse, job.request.parseSeconds);
-      }
-      if (job.timed) trace->add(obs::Stage::kQueueWait, queueWait);
-    }
-    // Canonicalize on the worker, not in submit(): a single producer thread
-    // (the engine pump, a serve loop) must not serialize the per-request
-    // walk that N workers could do in parallel.
-    obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, trace ? &*trace : nullptr);
-    job.identity = service::requestIdentity(job.request);
-    const double fingerprintSeconds = fingerprintSpan.stop();
-    if (trace) trace->totalSeconds += fingerprintSeconds;
-    // A request that expired while queued is answered with a flagged timeout
-    // and never solved: under saturation, burning a worker on a result
-    // nobody can use anymore only pushes every later deadline over too.
-    if (job.request.deadline.expired()) {
-      service::RequestOutcome outcome =
-          timeoutOutcome(job.identity.fp, "while queued");
-      if (trace) {
-        outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
-      }
-      if (obs::metricsEnabled()) {
-        obs::registry().counter(obs::names::kTimeoutQueueExpired).add();
-      }
-      finish(job, std::move(outcome), /*coalescedCopy=*/false);
-      continue;
-    }
+    if (!prologue(job, "while queued", trace)) continue;
     bool ownsKey = false;
     {
       std::lock_guard lock(mutex_);
@@ -196,112 +199,61 @@ void AsyncScheduler::workerLoop() {
   }
 }
 
-void AsyncScheduler::runInline(Job job) {
-  std::optional<obs::RequestTrace> trace;
-  if (obs::tracingEnabled()) {
-    trace.emplace();
-    trace->totalSeconds = job.request.parseSeconds;  // no queue in inline mode
-    if (job.request.parseSeconds > 0) {
-      trace->add(obs::Stage::kParse, job.request.parseSeconds);
-    }
-  }
-  obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, trace ? &*trace : nullptr);
-  job.identity = service::requestIdentity(job.request);
-  const double fingerprintSeconds = fingerprintSpan.stop();
-  if (trace) trace->totalSeconds += fingerprintSeconds;
-  if (job.request.deadline.expired()) {
-    // Inline mode has no queue, but a caller can still hand over an already
-    // expired deadline — same contract as the worker path.
-    service::RequestOutcome outcome = timeoutOutcome(job.identity.fp, "before solving");
-    if (trace) {
-      outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
-    }
-    if (obs::metricsEnabled()) {
-      obs::registry().counter(obs::names::kTimeoutQueueExpired).add();
-    }
-    finish(job, std::move(outcome), /*coalescedCopy=*/false);
-    return;
-  }
-  finish(job, solveOne(job, trace ? &*trace : nullptr), /*coalescedCopy=*/false);
-}
-
-std::future<service::RequestOutcome> AsyncScheduler::submitJob(Job job) {
-  if (fault::injected(fault::sites::kSchedSubmit)) {
-    throw ModelError("fault injected: sched.submit");
-  }
-  std::future<service::RequestOutcome> future = job.promise.get_future();
-  if (obs::metricsEnabled() || obs::tracingEnabled()) {
+const char* AsyncScheduler::admit(Job& job, bool block) {
+  if (fault::injected(fault::sites::kSchedSubmit)) return "fault injected: sched.submit";
+  if (!workers_.empty() && (obs::metricsEnabled() || obs::tracingEnabled())) {
     job.enqueuedAt = obs::TraceClock::now();
     job.timed = true;
   }
   {
     std::lock_guard lock(mutex_);
-    if (!accepting_) throw ModelError("AsyncScheduler: submit after close");
+    if (!accepting_) return "AsyncScheduler: submit after close";
     ++stats_.submitted;
     stats_.maxInFlight =
         std::max<std::size_t>(stats_.maxInFlight, stats_.submitted - stats_.completed);
   }
   if (workers_.empty()) {
-    runInline(std::move(job));
-    return future;
-  }
-  if (!channel_.push(std::move(job))) {
-    // close() raced us between the accepting_ check and the push. Roll the
-    // admission back and re-wake drain() waiters: the rollback may have just
-    // made completed == submitted true without any finish() left to signal it.
-    {
-      std::lock_guard lock(mutex_);
-      --stats_.submitted;
+    // Inline mode: there is no queue, but a caller can still hand over an
+    // already expired deadline — same contract as the worker path.
+    std::optional<obs::RequestTrace> trace;
+    if (prologue(job, "before solving", trace)) {
+      finish(job, solveOne(job, trace ? &*trace : nullptr), /*coalescedCopy=*/false);
     }
-    allDone_.notify_all();
-    throw ModelError("AsyncScheduler: closed while submitting");
+    return nullptr;
   }
-  return future;
+  if (block ? channel_.push(std::move(job)) : channel_.tryPush(job)) return nullptr;
+  // Full (tryPush only), or close() raced us between the accepting_ check and
+  // the push. Roll the admission back and re-wake drain() waiters: the
+  // rollback may have just made completed == submitted without any finish()
+  // left to signal it.
+  {
+    std::lock_guard lock(mutex_);
+    --stats_.submitted;
+  }
+  allDone_.notify_all();
+  return "AsyncScheduler: closed while submitting";
 }
 
 std::future<service::RequestOutcome> AsyncScheduler::submit(service::Request request) {
-  return submitJob(Job{std::move(request)});
+  Job job{std::move(request)};
+  std::future<service::RequestOutcome> future = job.promise.get_future();
+  if (const char* refusal = admit(job, /*block=*/true)) throw ModelError(refusal);
+  return future;
 }
 
 void AsyncScheduler::submit(service::Request request, Callback callback) {
   Job job{std::move(request)};
   job.callback = std::move(callback);
-  (void)submitJob(std::move(job));  // completion is reported via the callback
+  if (const char* refusal = admit(job, /*block=*/true)) throw ModelError(refusal);
 }
 
 bool AsyncScheduler::trySubmit(service::Request request, Callback callback) {
-  // An armed `sched.submit` fault presents as admission refusal — callers
-  // already handle the queue-full shed path, so injection exercises it.
-  if (fault::injected(fault::sites::kSchedSubmit)) return false;
+  // Every refusal (full channel, close, an armed `sched.submit` fault) reads
+  // as `false`: callers already handle the shed path, so injection
+  // exercises it.
   Job job{std::move(request)};
   job.callback = std::move(callback);
-  if (obs::metricsEnabled() || obs::tracingEnabled()) {
-    job.enqueuedAt = obs::TraceClock::now();
-    job.timed = true;
-  }
-  {
-    std::lock_guard lock(mutex_);
-    if (!accepting_) return false;
-    ++stats_.submitted;
-    stats_.maxInFlight =
-        std::max<std::size_t>(stats_.maxInFlight, stats_.submitted - stats_.completed);
-  }
-  if (workers_.empty()) {
-    runInline(std::move(job));
-    return true;
-  }
-  if (!channel_.tryPush(job)) {
-    // Full (or closed mid-flight): roll the admission back, exactly like the
-    // blocking path's close race, and re-wake drain() waiters in case the
-    // rollback just made completed == submitted.
-    {
-      std::lock_guard lock(mutex_);
-      --stats_.submitted;
-    }
-    allDone_.notify_all();
-    return false;
-  }
-  return true;
+  return admit(job, /*block=*/false) == nullptr;
 }
 
 void AsyncScheduler::drain() {

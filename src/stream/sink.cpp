@@ -77,25 +77,40 @@ void writeOutcomeFields(io::JsonWriter& w, const std::string& name,
   }
 }
 
+void renderOutcomeLine(std::string& out, std::size_t index, std::optional<std::size_t> line,
+                       const service::Request& request,
+                       const service::RequestOutcome& outcome) {
+  io::StringOutStream stream(out);
+  io::JsonWriter w(stream, /*pretty=*/false);
+  w.beginObject();
+  w.kv("index", index);
+  if (line) w.kv("line", *line);
+  writeOutcomeFields(w, request.name, outcome);
+  w.endObject();
+}
+
+void renderParseErrorLine(std::string& out, std::size_t line, const std::string& message) {
+  io::StringOutStream stream(out);
+  io::JsonWriter w(stream, /*pretty=*/false);
+  w.beginObject();
+  w.kv("line", line);
+  w.kv("ok", false);
+  w.kv("error", message);
+  w.endObject();
+}
+
 void JsonlSink::emit(std::size_t index, const service::Request& request,
                      const service::RequestOutcome& outcome) {
   // Render the whole line first, then hand it to the guarded writer in one
   // piece — emission can never interleave mid-line with other writers (the
   // serve parse-error path) sharing the same JsonlLineWriter. The render
   // buffer is a member: clear() keeps its capacity, so warm emission makes
-  // no allocations. emit() arrives only from the engine's pump thread (the
-  // Sink contract), so the single buffer is safe.
+  // no allocations. emit() calls are serialized (the Sink contract), so the
+  // single buffer is safe.
   buffer_.clear();
-  io::StringOutStream line(buffer_);
-  io::JsonWriter w(line, /*pretty=*/false);
-  w.beginObject();
-  w.kv("index", index);
-  if (inputLines_ != nullptr && !inputLines_->empty()) {
-    w.kv("line", inputLines_->front());
-    inputLines_->pop_front();
-  }
-  writeOutcomeFields(w, request.name, outcome);
-  w.endObject();
+  renderOutcomeLine(buffer_, index,
+                    withLines_ ? std::optional<std::size_t>(request.sourceLine) : std::nullopt,
+                    request, outcome);
   writer_->writeLine(buffer_);
 }
 

@@ -182,6 +182,7 @@ service::Request requestFromDoc(const Doc& v, const JsonlDefaults& defaults,
     }
   }
   request.deadline = service::Deadline::in(deadlineMs);
+  request.sourceLine = lineNo;
   return request;
 }
 

@@ -89,6 +89,11 @@ struct BadCase {
   const char* needle;  ///< substring expected in the error message
 };
 
+// Without a printer gtest lists the param as the raw bytes of its three
+// pointers, so the discovered ctest names change with every link and every
+// ASLR draw. Printing the label keeps them the same from build to build.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class InstanceFormatErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(InstanceFormatErrors, ReportsTheProblem) {

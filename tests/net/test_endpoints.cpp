@@ -19,6 +19,7 @@
 #include "net_test_util.hpp"
 #include "pipesched/net/server.hpp"
 #include "pipesched/obs/metrics.hpp"
+#include "pipesched/obs/trace.hpp"
 #include "pipesched/stream/async_scheduler.hpp"
 
 namespace pipesched::net {
@@ -168,6 +169,18 @@ TEST(ServeEndpoints, StatsHealthzAndMetricsAnswer) {
   EXPECT_NE(metrics.body.find("pipesched_net_http_requests"), std::string::npos);
   EXPECT_NE(metrics.body.find("# TYPE pipesched_net_connections_accepted counter"),
             std::string::npos);
+}
+
+TEST(ServeEndpoints, SolveRendersOutcomesInsideTheEmitStage) {
+  // stage.emit covers the HTTP outcome render too, not only the stdio sink:
+  // one POST with two well-formed lines records two emit spans, all before
+  // the response is sent.
+  obs::ScopedMetricsEnabled metricsOn(true);
+  EndpointsFixture fixture;
+  const std::uint64_t before = obs::stageHistogram(obs::Stage::kEmit).snapshot().count;
+  const ClientResponse r = fetch(fixture.endpoint(), "POST", "/solve", kBody);
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(obs::stageHistogram(obs::Stage::kEmit).snapshot().count, before + 2);
 }
 
 TEST(ServeEndpoints, MalformedDeadlineHeaderAnswers400) {

@@ -1,5 +1,6 @@
-// Portfolio solver: pooled == serial, heuristic-study consistency, exact
-// membership on small instances, budget degradation.
+// Portfolio solver: one run == the same request through a pooled batch,
+// heuristic-study consistency, exact membership on small instances, budget
+// degradation.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,6 +10,7 @@
 #include "pipesched/exp/pareto_study.hpp"
 #include "pipesched/fault/fault.hpp"
 #include "pipesched/service/portfolio.hpp"
+#include "pipesched/service/service.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::service {
@@ -32,12 +34,24 @@ void expectSameFront(const std::vector<core::ParetoPoint>& a,
 }
 
 TEST(Portfolio, PooledRunEqualsSerialRun) {
-  const auto inst = instanceFor(workload::ExperimentKind::kE2BalancedHetComm, 12, 8, 7);
-  const core::Evaluator eval(inst.pipeline, inst.platform);
+  // Parallelism lives across requests: the same instance solved on a
+  // 4-worker solveBatch pool (next to other requests) gives the serial run.
   const SweepSpec sweep{12, 3};
+  std::vector<Request> requests;
+  for (const std::uint64_t seed : {7, 8, 9}) {
+    auto inst = instanceFor(workload::ExperimentKind::kE2BalancedHetComm, 12, 8, seed);
+    requests.push_back(Request{std::move(inst.pipeline), std::move(inst.platform),
+                               core::CommModel::kSequential, sweep});
+  }
+  const core::Evaluator eval(requests[0].pipeline, requests[0].platform);
   const PortfolioResult serial = runPortfolio(eval, sweep);
-  ThreadPool pool(4);
-  const PortfolioResult pooled = runPortfolio(eval, sweep, PortfolioConfig{}, &pool);
+  ServiceConfig config;
+  config.threads = 4;
+  config.shareSubResults = false;
+  SchedulingService service(config);
+  const BatchResult batch = service.solveBatch(requests);
+  ASSERT_TRUE(batch.outcomes[0].ok);
+  const PortfolioResult& pooled = batch.outcomes[0].result;
   expectSameFront(serial.front, pooled.front);
   ASSERT_EQ(serial.solvers.size(), pooled.solvers.size());
   for (std::size_t i = 0; i < serial.solvers.size(); ++i) {
@@ -169,7 +183,7 @@ TEST(Portfolio, ExpiredRequestDeadlineYieldsExplicitlyDegradedResult) {
   Deadline expired = Deadline::in(0.01);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const PortfolioResult result =
-      runPortfolio(eval, SweepSpec{12, 3}, config, nullptr, nullptr, expired);
+      runPortfolio(eval, SweepSpec{12, 3}, config, nullptr, expired);
   // Every member was cut before starting: the cut is flagged, never silent.
   EXPECT_TRUE(result.degraded);
   EXPECT_TRUE(result.budgetExhausted);
@@ -186,7 +200,7 @@ TEST(Portfolio, UnboundedDeadlineChangesNothing) {
   config.useExact = false;
   const PortfolioResult plain = runPortfolio(eval, SweepSpec{6, 2}, config);
   const PortfolioResult withInactive =
-      runPortfolio(eval, SweepSpec{6, 2}, config, nullptr, nullptr, Deadline{});
+      runPortfolio(eval, SweepSpec{6, 2}, config, nullptr, Deadline{});
   EXPECT_FALSE(withInactive.degraded);
   EXPECT_FALSE(withInactive.budgetExhausted);
   expectSameFront(plain.front, withInactive.front);
@@ -233,15 +247,23 @@ TEST(Portfolio, MemberFaultIsContainedAndFlagsDegradation) {
 }
 
 TEST(Portfolio, MemberFaultInPooledRunIsContainedToo) {
-  const auto inst = instanceFor(workload::ExperimentKind::kE2BalancedHetComm, 10, 6, 34);
-  const core::Evaluator eval(inst.pipeline, inst.platform);
-  PortfolioConfig config;
-  config.useExact = false;
-  ThreadPool pool(4);
+  std::vector<Request> requests;
+  for (const std::uint64_t seed : {34, 35, 36, 37}) {
+    auto inst = instanceFor(workload::ExperimentKind::kE2BalancedHetComm, 10, 6, seed);
+    requests.push_back(Request{std::move(inst.pipeline), std::move(inst.platform),
+                               core::CommModel::kSequential, SweepSpec{8, 3}});
+  }
+  ServiceConfig config;
+  config.threads = 4;
+  config.portfolio.useExact = false;
+  SchedulingService service(config);
   fault::ScopedFaultSpec scope("member.H1");
-  const PortfolioResult result = runPortfolio(eval, SweepSpec{8, 3}, config, &pool);
-  EXPECT_TRUE(result.degraded);
-  EXPECT_FALSE(result.front.empty());
+  const BatchResult batch = service.solveBatch(requests);
+  for (const RequestOutcome& outcome : batch.outcomes) {
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_TRUE(outcome.result.degraded);
+    EXPECT_FALSE(outcome.result.front.empty());
+  }
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // Differential / property harness for the pluggable portfolio (ISSUE 3):
 // on a seeded suite of randomized instances,
-//   * the merged front is byte-identical serial vs pooled (2 and 8 workers)
-//     and across repeated runs, with and without budget-aware dropping;
+//   * the merged front is byte-identical across repeated runs, and across
+//     solveBatch pool sizes (0, 2 and 8 workers);
 //   * the widened portfolio (refiners + c2c members) dominates-or-equals the
 //     H1..H6-only front point for point;
 //   * on exact-eligible small instances the merged front equals the
 //     exhaustive enumerator's Pareto front;
 //   * refiner members never emit a point dominated by their seed heuristic's
 //     point at the same threshold, across both objective families;
-//   * the set of dropped (member, unit) pairs is identical serial vs pooled,
-//     and dropping never removes a point from the final front.
+//   * dropping never removes a point from the final front.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,28 +57,6 @@ PortfolioConfig wideConfig(std::size_t dropAfter = 0) {
 }
 
 const SweepSpec kSweep{5, Real(2.5)};
-
-void expectByteIdenticalAcrossWorkers(std::size_t dropAfter) {
-  const PortfolioConfig config = wideConfig(dropAfter);
-  for (std::size_t i = 0; i < 25; ++i) {
-    const workload::InstancePair inst = suiteInstance(i);
-    const core::Evaluator eval(inst.pipeline, inst.platform);
-    const std::string serial = render(runPortfolio(eval, kSweep, config));
-    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-      ThreadPool pool(workers);
-      const std::string pooled = render(runPortfolio(eval, kSweep, config, &pool));
-      EXPECT_EQ(serial, pooled) << "instance " << i << ", " << workers << " workers";
-    }
-  }
-}
-
-TEST(PortfolioProperties, MergedFrontByteIdenticalSerialVsPooled) {
-  expectByteIdenticalAcrossWorkers(/*dropAfter=*/0);
-}
-
-TEST(PortfolioProperties, MergedFrontByteIdenticalSerialVsPooledWithDropping) {
-  expectByteIdenticalAcrossWorkers(/*dropAfter=*/2);
-}
 
 TEST(PortfolioProperties, RepeatedRunsAreByteIdentical) {
   const PortfolioConfig config = wideConfig();
@@ -197,24 +174,6 @@ TEST(PortfolioProperties, AnnealingRefinerNeverWorsensPeriodFamilySeed) {
 TEST(PortfolioProperties, AnnealingRefinerNeverWorsensLatencyFamilySeed) {
   expectRefinerNeverWorsens("sa:H5", heuristics::HeuristicId::kH5SpMonoL);
   expectRefinerNeverWorsens("sa:H6", heuristics::HeuristicId::kH6SpBiL);
-}
-
-TEST(PortfolioProperties, DropDecisionsIdenticalSerialVsPooled) {
-  const PortfolioConfig config = wideConfig(/*dropAfter=*/2);
-  for (std::size_t i = 0; i < 12; ++i) {
-    const workload::InstancePair inst = suiteInstance(i);
-    const core::Evaluator eval(inst.pipeline, inst.platform);
-    const PortfolioResult serial = runPortfolio(eval, kSweep, config);
-    ThreadPool pool(8);
-    const PortfolioResult pooled = runPortfolio(eval, kSweep, config, &pool);
-    ASSERT_EQ(serial.solvers.size(), pooled.solvers.size());
-    for (std::size_t s = 0; s < serial.solvers.size(); ++s) {
-      EXPECT_EQ(serial.solvers[s].solver, pooled.solvers[s].solver);
-      EXPECT_EQ(serial.solvers[s].dropped, pooled.solvers[s].dropped) << serial.solvers[s].solver;
-      EXPECT_EQ(serial.solvers[s].skipped, pooled.solvers[s].skipped) << serial.solvers[s].solver;
-      EXPECT_EQ(serial.solvers[s].units, pooled.solvers[s].units) << serial.solvers[s].solver;
-    }
-  }
 }
 
 TEST(PortfolioProperties, DroppingNeverRemovesAFinalFrontPoint) {

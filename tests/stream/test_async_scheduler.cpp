@@ -620,12 +620,15 @@ TEST(AsyncScheduler, QueueExpiredRequestGetsFlaggedTimeoutNotAHang) {
 TEST(AsyncScheduler, CoalescedWaiterPastDeadlineGetsTimeoutNotLateResult) {
   std::mutex mutex;
   std::condition_variable cv;
+  bool solving = false;
   bool release = false;
   StreamConfig config;
   config.workers = 2;
   config.queueCapacity = 8;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     std::unique_lock lock(mutex);
+    solving = true;
+    cv.notify_all();
     cv.wait(lock, [&] { return release; });
     service::RequestOutcome outcome;
     outcome.ok = true;
@@ -633,6 +636,12 @@ TEST(AsyncScheduler, CoalescedWaiterPastDeadlineGetsTimeoutNotLateResult) {
   };
   AsyncScheduler scheduler(config);
   std::future<service::RequestOutcome> owner = scheduler.submit(makeRequest(110));
+  {
+    // The owner must hold the key before its duplicate arrives: two workers
+    // popping both at once could otherwise let the duplicate claim it.
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return solving; });
+  }
   // Identical request parks on the in-flight solve, but with a deadline that
   // expires while the owner is still latched.
   service::Request duplicate = makeRequest(110);

@@ -1,10 +1,14 @@
 // The streaming engine end to end: stream-vs-batch byte-identity across
-// worker counts and queue capacities, strict input-order emission, the
-// bounded-memory window (instrumented at the Source/Sink seam), failure
-// pass-through, and cross-pass cache reuse.
+// worker counts and queue capacities, strict input-order emission, emission
+// that never waits on the next pull, the bounded-memory window (instrumented
+// at the Source/Sink seam), failure pass-through, and cross-pass cache reuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,18 +98,16 @@ TEST(StreamEngine, EmissionIsInInputOrder) {
 }
 
 /// Instruments the pull-to-emit window: counts requests that have been
-/// pulled from the inner source but not yet emitted. The engine pumps from
-/// one thread, so plain counters suffice.
+/// pulled from the inner source but not yet emitted. Pulls happen on the
+/// pump thread and emits on whichever thread completes the head of the
+/// line, so the live count is atomic; only the pump reads the high-water.
 class CountingSource : public Source {
  public:
   explicit CountingSource(Source& inner) : inner_(&inner) {}
 
   std::optional<service::Request> next() override {
     std::optional<service::Request> request = inner_->next();
-    if (request) {
-      ++live_;
-      maxLive_ = std::max(maxLive_, live_);
-    }
+    if (request) maxLive_ = std::max(maxLive_, ++live_);
     return request;
   }
 
@@ -114,7 +116,7 @@ class CountingSource : public Source {
 
  private:
   Source* inner_;
-  std::size_t live_ = 0;
+  std::atomic<std::size_t> live_{0};
   std::size_t maxLive_ = 0;
 };
 
@@ -163,6 +165,69 @@ TEST(StreamEngine, NeverHoldsMoreThanQueuePlusInFlightRequests) {
   // uncounted completion per worker (futures become ready just before the
   // completion counters are bumped), so its bound is window + workers.
   EXPECT_LE(stats.stream.maxInFlight, window + config.workers);
+}
+
+TEST(StreamEngine, EmitsAFinishedOutcomeWhileTheSourceWaitsForTheNextLine) {
+  // The interactive client: it sends one line, then waits for that line's
+  // answer before sending the next. The source's second next() therefore
+  // blocks until the sink has seen outcome 0 — bounded, so an engine that
+  // emits only after the next pull fails here instead of hanging.
+  struct Handshake {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool emitted0 = false;
+  } handshake;
+
+  class WaitingSource : public Source {
+   public:
+    WaitingSource(std::vector<service::Request> requests, Handshake& handshake)
+        : requests_(std::move(requests)), handshake_(&handshake) {}
+    std::optional<service::Request> next() override {
+      if (cursor_ == 1) {
+        std::unique_lock lock(handshake_->mutex);
+        sawAnswerFirst = handshake_->cv.wait_for(lock, std::chrono::seconds(10),
+                                                 [&] { return handshake_->emitted0; });
+      }
+      if (cursor_ >= requests_.size()) return std::nullopt;
+      return requests_[cursor_++];
+    }
+    bool sawAnswerFirst = false;
+
+   private:
+    std::vector<service::Request> requests_;
+    Handshake* handshake_;
+    std::size_t cursor_ = 0;
+  };
+
+  class SignallingSink : public Sink {
+   public:
+    explicit SignallingSink(Handshake& handshake) : handshake_(&handshake) {}
+    void emit(std::size_t index, const service::Request&,
+              const service::RequestOutcome&) override {
+      indices.push_back(index);
+      std::lock_guard lock(handshake_->mutex);
+      if (index == 0) handshake_->emitted0 = true;
+      handshake_->cv.notify_all();
+    }
+    std::vector<std::size_t> indices;
+
+   private:
+    Handshake* handshake_;
+  };
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
+    handshake.emitted0 = false;
+    StreamConfig config;
+    config.workers = workers;
+    config.queueCapacity = 4;
+    AsyncScheduler scheduler(config);
+    WaitingSource source(mixedRequests(29, 3), handshake);
+    SignallingSink sink(handshake);
+    const EngineStats stats = runStream(source, sink, scheduler);
+    EXPECT_TRUE(source.sawAnswerFirst) << "workers=" << workers;
+    EXPECT_EQ(stats.requests, sink.indices.size());
+    for (std::size_t i = 0; i < sink.indices.size(); ++i) EXPECT_EQ(sink.indices[i], i);
+  }
 }
 
 TEST(StreamEngine, FailuresFlowToTheSinkInPlace) {

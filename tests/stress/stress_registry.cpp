@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -146,7 +147,14 @@ TEST(StressRegistry, EnableFlagFlipsDuringRecording) {
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < 2000; ++i) {
+    // At least 2000 flips, then on until a recorder has landed inside an
+    // enabled window: on a loaded machine the recorders may get no CPU during
+    // the first 2000. Bounded, so a recording that never happens still fails
+    // below.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (int i = 0; i < 2000 || (recorded.load() == 0 &&
+                                 std::chrono::steady_clock::now() < deadline);
+         ++i) {
       ScopedMetricsEnabled scoped(i % 2 == 0);
       std::this_thread::yield();
     }
