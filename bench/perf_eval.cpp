@@ -2,9 +2,10 @@
 // (DeltaEvaluator::peek — patched terms + prefix-resumed fold, no state
 // change) versus the historical rebuild pattern (copy the assignment vector,
 // edit, reconstruct the IntervalMapping, full Evaluator::evaluate) at
-// several interval counts, plus the end-to-end
-// wall time of the ls:/sa: refiner members before/after the kernel. Emits the
-// machine-readable BENCH_eval.json tracking the perf trajectory:
+// several interval counts, plus the end-to-end wall time of the ls:/sa:
+// refiner members: the library's delta-kernel loops against their
+// copy-edit-rebuild twins from pipesched_oracles. Emits the machine-readable
+// BENCH_eval.json tracking the perf trajectory:
 //
 //   {"benchmark":"perf_eval",
 //    "kernel":[{"m":4,"delta_moves_per_second":...,
@@ -15,8 +16,9 @@
 //
 // Both paths score the SAME pre-generated move list against the SAME base
 // mapping (each score is one candidate-neighbor evaluation, the dominant
-// operation of every refinement hot loop); a period checksum cross-checks
-// that they computed identical values.
+// operation of every refinement hot loop) and must score every candidate
+// bit-identically; the refiner runs must return identical results. Any
+// mismatch aborts the bench.
 //
 // Usage: perf_eval [--sizes LIST] [--candidates N] [--min-seconds S]
 //                  [--output FILE]
@@ -25,6 +27,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pipesched/core/delta_evaluation.hpp"
@@ -32,6 +35,7 @@
 #include "pipesched/heuristics/local_search.hpp"
 #include "pipesched/heuristics/registry.hpp"
 #include "pipesched/io/json.hpp"
+#include "pipesched/oracles/search_rebuild.hpp"
 #include "pipesched/workload/generator.hpp"
 #include "pipesched/workload/rng.hpp"
 
@@ -215,15 +219,23 @@ struct MemberSample {
   double speedup = 0;
 };
 
+/// One refined mapping and its metrics, as a refiner run returns them.
+using Refined = std::pair<IntervalMapping, core::Metrics>;
+
 /// Wall time of the ls:/sa: refiner work unit (seed heuristic's mapping
-/// refined at a few thresholds) with the kernel on vs off.
+/// refined at a few thresholds): `run(false)` through the copy-edit-rebuild
+/// reference in pipesched_oracles, `run(true)` through the library's delta
+/// kernel. The two must refine to identical results, or the bench aborts.
 template <typename RunFn>
-MemberSample measureMember(RunFn&& run) {
+MemberSample measureMember(const std::string& name, RunFn&& run) {
   const Clock::time_point r0 = Clock::now();
-  run(false);
+  const std::vector<Refined> rebuilt = run(false);
   const Clock::time_point r1 = Clock::now();
-  run(true);
+  const std::vector<Refined> delta = run(true);
   const Clock::time_point r2 = Clock::now();
+  if (rebuilt != delta) {
+    throw std::runtime_error("perf_eval: delta/rebuild mismatch in the " + name + " refiner");
+  }
   MemberSample s;
   s.rebuildSeconds = seconds(r0, r1);
   s.deltaSeconds = seconds(r1, r2);
@@ -301,28 +313,37 @@ int main(int argc, char** argv) {
     seeds.push_back(base->run(eval, t));
   }
 
-  const MemberSample ls = measureMember([&](bool useDelta) {
-    heuristics::LocalSearchOptions options;
-    options.useDeltaKernel = useDelta;
+  const MemberSample ls = measureMember("ls", [&](bool useDelta) {
+    std::vector<Refined> out;
     for (int rep = 0; rep < 40; ++rep) {
       for (std::size_t i = 0; i < thresholds.size(); ++i) {
-        (void)heuristics::localSearch(eval, seeds[i].mapping, base->objective(),
-                                      thresholds[i], options);
+        const heuristics::LocalSearchResult r =
+            useDelta ? heuristics::localSearch(eval, seeds[i].mapping, base->objective(),
+                                               thresholds[i])
+                     : oracles::localSearchRebuild(eval, seeds[i].mapping, base->objective(),
+                                                   thresholds[i]);
+        out.emplace_back(r.mapping, r.metrics);
       }
     }
+    return out;
   });
   std::cout << "  ls refiner: rebuild " << ls.rebuildSeconds << " s, delta " << ls.deltaSeconds
             << " s, speedup " << ls.speedup << "x\n";
 
-  const MemberSample sa = measureMember([&](bool useDelta) {
+  const MemberSample sa = measureMember("sa", [&](bool useDelta) {
+    std::vector<Refined> out;
     heuristics::AnnealingOptions options;
-    options.useDeltaKernel = useDelta;
     options.moves = 20'000;
     for (std::size_t i = 0; i < thresholds.size(); i += 2) {
       options.seed = static_cast<std::uint64_t>(i + 1);
-      (void)heuristics::anneal(eval, seeds[i].mapping, base->objective(), thresholds[i],
-                               options);
+      const heuristics::AnnealingResult r =
+          useDelta ? heuristics::anneal(eval, seeds[i].mapping, base->objective(),
+                                        thresholds[i], options)
+                   : oracles::annealRebuild(eval, seeds[i].mapping, base->objective(),
+                                            thresholds[i], options);
+      out.emplace_back(r.mapping, r.metrics);
     }
+    return out;
   });
   std::cout << "  sa refiner: rebuild " << sa.rebuildSeconds << " s, delta " << sa.deltaSeconds
             << " s, speedup " << sa.speedup << "x\n";

@@ -413,18 +413,24 @@ int main(int argc, char** argv) {
   // Observability overhead: the same warm all-cache-hit batch with metrics +
   // tracing fully enabled vs fully disabled. Cache hits are the cheapest
   // requests the service serves, so this pass is the worst case for relative
-  // instrumentation cost; best-of-3 per mode to damp scheduler noise.
+  // instrumentation cost. Each pass takes a few milliseconds, so host drift
+  // between two back-to-back phases could swamp the difference: the modes
+  // are interleaved rep by rep, alternating which goes first, and each keeps
+  // its best rep.
   const auto warmObsRps = [&](bool enabled) {
     obs::ScopedMetricsEnabled metricsScope(enabled);
     obs::ScopedTracingEnabled tracingScope(enabled);
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      best = std::max(best, warmSvc.solveBatch(batch).stats.requestsPerSecond);
-    }
-    return best;
+    return warmSvc.solveBatch(batch).stats.requestsPerSecond;
   };
-  const double warmDisabledRps = warmObsRps(false);
-  const double warmEnabledRps = warmObsRps(true);
+  double warmDisabledRps = 0.0;
+  double warmEnabledRps = 0.0;
+  for (int rep = 0; rep < 6; ++rep) {
+    const bool enabledFirst = rep % 2 == 1;
+    for (const bool enabled : {enabledFirst, !enabledFirst}) {
+      double& best = enabled ? warmEnabledRps : warmDisabledRps;
+      best = std::max(best, warmObsRps(enabled));
+    }
+  }
   const double enabledOverDisabled =
       warmDisabledRps > 0 ? warmEnabledRps / warmDisabledRps : 1.0;
   std::cout << "  observability: warm disabled " << warmDisabledRps << " req/s, enabled "

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,6 +31,7 @@
 
 #include "pipesched/io/format.hpp"
 #include "pipesched/io/json.hpp"
+#include "pipesched/oracles/legacy_jsonl_source.hpp"
 #include "pipesched/stream/async_scheduler.hpp"
 #include "pipesched/stream/sink.hpp"
 #include "pipesched/stream/source.hpp"
@@ -142,8 +144,8 @@ RunSample coldRun(const std::vector<service::Request>& requests, std::size_t cap
 
 // ---------------------------------------------------------------------------
 // Parse-path bench: the zero-copy JSONL reader (BlockLineReader + LiteParser
-// + readInstanceInPlace) against the legacy getline + parseJson tree walk,
-// over an identical warm corpus. The scheduler runs inline (workers == 0)
+// + readInstanceInPlace) against the legacy getline + parseJson tree walk
+// (oracles::LegacyJsonlSource), over an identical warm corpus. The scheduler runs inline (workers == 0)
 // with every request a cache hit, so ingestion — parse + response emission —
 // is the measured per-request cost, exactly the regime the ROADMAP item
 // names. Outputs of the two readers are compared byte for byte (fully warm
@@ -153,7 +155,7 @@ RunSample coldRun(const std::vector<service::Request>& requests, std::size_t cap
 struct ParsePathSample {
   std::size_t lines = 0;
   std::size_t distinct = 0;
-  double legacyReqPerSec = 0;  ///< ingestion only: source.next() loop
+  double legacyReqPerSec = 0;  ///< ingestion only: source->next() loop
   double fastReqPerSec = 0;
   double speedup = 0;
   double legacyWarmStreamReqPerSec = 0;  ///< ingest + warm solve + drain
@@ -196,10 +198,19 @@ ParsePathSample parsePathRun(std::size_t lines, std::uint64_t seed) {
   stream::AsyncScheduler scheduler(config);
   const stream::JsonlDefaults defaults;
 
+  // The reader under test: the library's JsonlSource or the legacy oracle.
+  enum class Reader { kFast, kLegacy };
+  const auto makeSource = [&](std::istream& in,
+                              Reader reader) -> std::unique_ptr<stream::Source> {
+    if (reader == Reader::kLegacy) {
+      return std::make_unique<oracles::LegacyJsonlSource>(in, defaults);
+    }
+    return std::make_unique<stream::JsonlSource>(in, defaults);
+  };
+
   // One ingest pass; with `rendered` set it also re-renders every outcome
   // line through the reused-buffer JsonlSink (the byte-identity probe).
-  const auto ingestPass = [&](stream::JsonlReader mode,
-                              std::string* rendered) -> double {
+  const auto ingestPass = [&](Reader reader, std::string* rendered) -> double {
     std::istringstream in(corpus);
     std::optional<std::ostringstream> renderedStream;
     std::optional<stream::JsonlSink> sink;
@@ -207,10 +218,10 @@ ParsePathSample parsePathRun(std::size_t lines, std::uint64_t seed) {
       renderedStream.emplace();
       sink.emplace(*renderedStream);
     }
-    stream::JsonlSource source(in, defaults, /*onError=*/{}, mode);
+    const std::unique_ptr<stream::Source> source = makeSource(in, reader);
     std::size_t index = 0;
     const Clock::time_point t0 = Clock::now();
-    while (std::optional<service::Request> request = source.next()) {
+    while (std::optional<service::Request> request = source->next()) {
       scheduler.submit(std::move(*request),
                        [&](const service::Request& req,
                            const service::RequestOutcome& outcome) {
@@ -235,12 +246,12 @@ ParsePathSample parsePathRun(std::size_t lines, std::uint64_t seed) {
 
   // Ingestion only: the JSONL line -> service::Request path this section
   // exists to measure, with solving out of the loop entirely.
-  const auto parsePass = [&](stream::JsonlReader mode) -> double {
+  const auto parsePass = [&](Reader reader) -> double {
     std::istringstream in(corpus);
-    stream::JsonlSource source(in, defaults, /*onError=*/{}, mode);
+    const std::unique_ptr<stream::Source> source = makeSource(in, reader);
     std::size_t parsed = 0;
     const Clock::time_point t0 = Clock::now();
-    while (std::optional<service::Request> request = source.next()) ++parsed;
+    while (std::optional<service::Request> request = source->next()) ++parsed;
     const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
     if (parsed != lines) {
       throw std::runtime_error("perf_stream parse_path: parsed " +
@@ -252,11 +263,11 @@ ParsePathSample parsePathRun(std::size_t lines, std::uint64_t seed) {
 
   // Warm the cache, then compare the two readers' full rendered output in
   // the identical (fully warm) cache state.
-  (void)ingestPass(stream::JsonlReader::kLegacy, nullptr);
+  (void)ingestPass(Reader::kLegacy, nullptr);
   std::string legacyRendered;
   std::string fastRendered;
-  (void)ingestPass(stream::JsonlReader::kLegacy, &legacyRendered);
-  (void)ingestPass(stream::JsonlReader::kFast, &fastRendered);
+  (void)ingestPass(Reader::kLegacy, &legacyRendered);
+  (void)ingestPass(Reader::kFast, &fastRendered);
   if (legacyRendered != fastRendered) {
     throw std::runtime_error(
         "perf_stream parse_path: fast and legacy readers rendered different "
@@ -273,10 +284,10 @@ ParsePathSample parsePathRun(std::size_t lines, std::uint64_t seed) {
     if (best == 0 || wall < best) best = wall;
   };
   for (int rep = 0; rep < 3; ++rep) {
-    keepMin(legacyBest, parsePass(stream::JsonlReader::kLegacy));
-    keepMin(fastBest, parsePass(stream::JsonlReader::kFast));
-    keepMin(legacyStreamBest, ingestPass(stream::JsonlReader::kLegacy, nullptr));
-    keepMin(fastStreamBest, ingestPass(stream::JsonlReader::kFast, nullptr));
+    keepMin(legacyBest, parsePass(Reader::kLegacy));
+    keepMin(fastBest, parsePass(Reader::kFast));
+    keepMin(legacyStreamBest, ingestPass(Reader::kLegacy, nullptr));
+    keepMin(fastStreamBest, ingestPass(Reader::kFast, nullptr));
   }
 
   const auto rate = [lines](double wall) {

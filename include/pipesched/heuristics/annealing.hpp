@@ -5,7 +5,10 @@
 // Neighborhood: the same five move classes as local_search.hpp, sampled
 // uniformly. Energy: the optimized criterion plus a penalty proportional to
 // the constraint violation, so infeasible states are passable but repelling.
-// Fully deterministic for a given (instance, options.seed).
+// Fully deterministic for a given (instance, options.seed). Proposals are
+// scored by core::DeltaEvaluator::peek; the copy-edit-rebuild reference
+// (oracles::annealRebuild, test- and bench-only) draws the same random
+// sequence and must return a bit-identical result.
 #pragma once
 
 #include "pipesched/heuristics/heuristics.hpp"
@@ -28,13 +31,6 @@ struct AnnealingOptions {
 
   /// Constraint-violation penalty weight, also relative to the seed energy.
   Real penaltyWeight = 10;
-
-  /// Score proposals through the core::DeltaEvaluator kernel (apply/undo,
-  /// O(touched-intervals) per proposal, allocation-free) instead of the
-  /// historical copy-edit-rebuild + full-evaluate pattern. Both paths draw
-  /// the same random sequence and return bit-identical results (pinned by
-  /// test_annealing.cpp); the rebuild path is the bench baseline.
-  bool useDeltaKernel = true;
 };
 
 struct AnnealingResult {

@@ -10,8 +10,11 @@
 //
 // Unlike the paper's engines, local search is *seeded* (start from any valid
 // mapping) and can move cuts back — it explores mappings the greedy splitting
-// loop can never reach. It works unchanged on fully-heterogeneous platforms
-// because every candidate is scored through Evaluator::evaluate.
+// loop can never reach. It works unchanged on fully-heterogeneous platforms:
+// every candidate is scored by core::DeltaEvaluator::peek, bit-identical to
+// Evaluator::evaluate on the edited mapping. The copy-edit-rebuild reference
+// that pins this (oracles::localSearchRebuild) lives in the test- and
+// bench-only pipesched_oracles target.
 #pragma once
 
 #include "pipesched/heuristics/registry.hpp"
@@ -27,14 +30,6 @@ struct LocalSearchOptions {
 
   /// Include merge moves (may strand processors but shortens latency).
   bool mergeMoves = true;
-
-  /// Score candidates through the core::DeltaEvaluator kernel (apply/undo,
-  /// O(touched-intervals) per candidate, allocation-free) instead of the
-  /// historical copy-edit-rebuild + full-evaluate pattern. The two paths
-  /// return bit-identical results (pinned by test_local_search.cpp); the
-  /// rebuild path is kept as the differential reference and as the
-  /// before/after baseline for bench/perf_eval.
-  bool useDeltaKernel = true;
 };
 
 struct LocalSearchResult {

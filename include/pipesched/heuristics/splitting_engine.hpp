@@ -12,6 +12,10 @@
 //   * selection rule — mono-criterion (minimize the max of the new
 //     cycle-times) or bi-criteria (minimize max_i dLatency/dPeriod(i));
 // plus the stopping side-constraints (period target, latency cap).
+//
+// Split candidates are scored in place by core::DeltaEvaluator::replaceInterval
+// + undo; the kernel's randomized differential suite pins that to
+// IntervalMapping::replaceInterval + Evaluator::evaluate bit for bit.
 #pragma once
 
 #include <optional>
@@ -52,13 +56,6 @@ struct EngineConfig {
 
   /// Hard safety cap on accepted splits (the theoretical max is n-1).
   std::size_t maxSplits = 1u << 20;
-
-  /// Score split candidates through the core::DeltaEvaluator kernel
-  /// (replace/undo, O(touched-intervals) per candidate, allocation-free)
-  /// instead of the historical copy + replaceInterval + full-evaluate
-  /// pattern. Both paths score bit-identically (pinned by
-  /// test_splitting_engine.cpp); the rebuild path is the bench baseline.
-  bool useDeltaKernel = true;
 };
 
 struct EngineResult {

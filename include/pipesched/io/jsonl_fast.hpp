@@ -1,5 +1,4 @@
-// Zero-copy warm-path ingestion: the allocation-free half of the JSONL
-// request protocol, sitting beside the tree-building reader in json_reader.
+// Zero-copy warm-path ingestion: the JSONL request protocol's reader.
 //
 // Three pieces, composed by stream::JsonlSource:
 //
@@ -11,6 +10,9 @@
 //    (`in_avail` + `sgetn`) and falls back to a single blocking `sbumpc`
 //    only when nothing is available — interactive `serve` stdin keeps its
 //    line-by-line latency, file and string streams ingest at memory speed.
+//    A line longer than kMaxRequestBytes is discarded through its newline
+//    and reported as over the limit, so the buffer stays bounded whatever
+//    the stream holds.
 //
 //  * LiteParser — an in-place JSON tokenizer over a mutable line span.
 //    Strings become string_views into the buffer (escape sequences are
@@ -21,8 +23,9 @@
 //    object are materialized — nested containers are syntax-validated and
 //    skipped, because the request protocol has no nested fields (accessing
 //    one as a scalar throws the same type error the tree reader would).
-//    Grammar, error messages and number semantics deliberately mirror
-//    io::parseJson token for token; the differential suite in
+//    Grammar, error messages and number semantics deliberately mirror the
+//    tree-building reference reader (test- and bench-only, in the
+//    pipesched_oracles target) token for token; the differential suite in
 //    tests/io/test_jsonl_fast.cpp pins the equivalence.
 //
 //  * io::readInstanceInPlace (format.hpp) — the same idiom for the inline
@@ -41,11 +44,18 @@
 
 namespace pipesched::io {
 
+/// The largest client request accepted in one piece, 16 MiB: one JSONL line
+/// (BlockLineReader) and one HTTP request body (net::HttpParser).
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{16} << 20;
+
 /// One line carved from the reader's buffer: `data[size] == '\0'`, and the
 /// bytes are writable (the in-place parser decodes escapes into them).
 struct MutableLine {
   char* data = nullptr;
   std::size_t size = 0;
+  /// The line was longer than kMaxRequestBytes. Its bytes were discarded, so
+  /// data is null and size is 0.
+  bool overLimit = false;
 };
 
 /// Block-reading line splitter over one reused buffer. Not seekable, not
@@ -56,13 +66,17 @@ class BlockLineReader {
 
   /// Next line without its '\n' (a trailing '\r' is kept, exactly like
   /// std::getline), NUL-terminated in place; nullopt at end of stream.
-  /// The span is valid until the next call.
+  /// The span is valid until the next call. A line longer than
+  /// kMaxRequestBytes comes back as overLimit, consumed through its '\n'.
   [[nodiscard]] std::optional<MutableLine> next();
 
  private:
   /// Appends more bytes after end_; returns false at end of stream.
   bool fill();
   void ensureRoom();
+  /// Ends the over-limit line being read at `lineEnd` (one past its '\n',
+  /// or the end of the stream) and returns it as overLimit.
+  MutableLine dropLine(std::size_t lineEnd);
 
   std::istream* in_;
   std::vector<char> buffer_;
@@ -71,6 +85,7 @@ class BlockLineReader {
   std::size_t end_ = 0;    ///< end of the valid region
   std::size_t scan_ = 0;   ///< newline scan resumes here (never rescan)
   bool eof_ = false;
+  bool discarding_ = false;  ///< inside an over-limit line, dropping bytes
 };
 
 /// One parsed value. Scalars carry their payload; containers carry only
@@ -121,8 +136,8 @@ struct LiteDocument {
 
 /// Reusable in-place parser: one instance per source, member arena recycled
 /// across lines. parse() throws io::ParseError on malformed input with the
-/// same messages as io::parseJson (line number always 1 — the input is one
-/// line by construction).
+/// same messages as the reference tree reader (line number always 1 — the
+/// input is one line by construction).
 class LiteParser {
  public:
   /// Parses the mutable text [data, data+size); requires data[size] == '\0'

@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "pipesched/io/jsonl_fast.hpp"
+
 namespace pipesched::net {
 
 /// One parsed request. Header names are matched case-insensitively via
@@ -38,7 +40,7 @@ struct HttpRequest {
 /// request on the same connection.
 class HttpParser {
  public:
-  explicit HttpParser(std::size_t maxBodyBytes = 16u << 20,
+  explicit HttpParser(std::size_t maxBodyBytes = io::kMaxRequestBytes,
                       std::size_t maxHeaderBytes = 64u << 10)
       : maxBodyBytes_(maxBodyBytes), maxHeaderBytes_(maxHeaderBytes) {}
 

@@ -38,7 +38,8 @@ struct HttpServerConfig {
   Endpoint endpoint;                       ///< address to bind (port 0 = ephemeral)
   int backlog = 64;
   std::size_t maxConnections = 64;         ///< beyond this, new peers get 503
-  std::size_t maxBodyBytes = 16u << 20;    ///< request bodies above this get 413
+  /// Request bodies above this get 413.
+  std::size_t maxBodyBytes = io::kMaxRequestBytes;
   int pollTimeoutMs = 200;                 ///< loop heartbeat (stop-flag latency)
   int drainTimeoutMs = 5000;               ///< max wait for in-flight work on stop
   /// Slowloris guard: a connection that started a request but has made no

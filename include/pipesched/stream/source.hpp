@@ -131,13 +131,6 @@ struct JsonlDefaults {
   double deadlineMs = 0;
 };
 
-/// Which reader backs a JsonlSource. kFast is the zero-copy path
-/// (io::BlockLineReader + io::LiteParser); kLegacy is the original
-/// getline + io::parseJson tree walk, kept as the differential reference
-/// (the suite in tests/io/test_jsonl_fast.cpp drives both and asserts
-/// identical requests and error classification).
-enum class JsonlReader { kFast, kLegacy };
-
 // JSONL REQUEST LINES — one JSON object per line; blank lines are skipped.
 //
 //   {"file": "app.psi"}                         instance from a file
@@ -149,32 +142,25 @@ enum class JsonlReader { kFast, kLegacy };
 //   "name" (display label), "points"/"range" (sweep overrides),
 //   "overlap" (bool comm-model override), "deadline_ms" (completion
 //   deadline in milliseconds from parse time, >= 0; 0 disables the
-//   configured default). Unknown and duplicate fields are errors.
+//   configured default). Unknown and duplicate fields are errors, and so is
+//   a line longer than io::kMaxRequestBytes: it is discarded through its
+//   newline without being buffered.
 class JsonlSource : public Source {
  public:
   /// Called for a malformed line with its 1-based number; the line is then
   /// skipped. Without a handler, malformed lines throw io::ParseError.
   using ErrorHandler = std::function<void(std::size_t line, const std::string& message)>;
 
-  JsonlSource(std::istream& in, JsonlDefaults defaults = {}, ErrorHandler onError = {},
-              JsonlReader reader = JsonlReader::kFast)
-      : in_(&in),
-        defaults_(std::move(defaults)),
-        onError_(std::move(onError)),
-        mode_(reader) {
-    if (mode_ == JsonlReader::kFast) lines_.emplace(*in_);
-  }
+  JsonlSource(std::istream& in, JsonlDefaults defaults = {}, ErrorHandler onError = {})
+      : defaults_(std::move(defaults)), onError_(std::move(onError)), lines_(in) {}
 
   /// Owning overload (e.g. an ifstream the caller opened for us).
   JsonlSource(std::unique_ptr<std::istream> in, JsonlDefaults defaults = {},
-              ErrorHandler onError = {}, JsonlReader reader = JsonlReader::kFast)
+              ErrorHandler onError = {})
       : owned_(std::move(in)),
-        in_(owned_.get()),
         defaults_(std::move(defaults)),
         onError_(std::move(onError)),
-        mode_(reader) {
-    if (mode_ == JsonlReader::kFast) lines_.emplace(*in_);
-  }
+        lines_(*owned_) {}
 
   [[nodiscard]] std::optional<service::Request> next() override;
 
@@ -182,16 +168,11 @@ class JsonlSource : public Source {
   [[nodiscard]] std::size_t linesRead() const noexcept { return lineNo_; }
 
  private:
-  [[nodiscard]] std::optional<service::Request> nextFast();
-  [[nodiscard]] std::optional<service::Request> nextLegacy();
-
   std::unique_ptr<std::istream> owned_;
-  std::istream* in_;
   JsonlDefaults defaults_;
   ErrorHandler onError_;
-  JsonlReader mode_;
-  std::optional<io::BlockLineReader> lines_;  ///< kFast only
-  io::LiteParser parser_;                     ///< kFast only; arena reused per line
+  io::BlockLineReader lines_;
+  io::LiteParser parser_;  ///< arena reused per line
   std::size_t lineNo_ = 0;
 };
 

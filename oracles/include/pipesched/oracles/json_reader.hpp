@@ -1,5 +1,6 @@
-// Minimal recursive-descent JSON parser — the ingestion half of io/json.hpp's
-// writer, added for the streaming engine's JSONL request protocol.
+// Minimal recursive-descent JSON parser: the tree-building reference for the
+// library's in-place JSONL tokenizer (io::LiteParser), and the reader the
+// tests use to inspect JSON output. Test- and bench-only (pipesched_oracles).
 //
 // Parses one complete JSON text into a JsonValue tree. Deliberately small:
 // no SAX interface, no number-preserving bignum handling (numbers are

@@ -1,4 +1,4 @@
-#include "pipesched/io/json_reader.hpp"
+#include "pipesched/oracles/json_reader.hpp"
 
 #include <cerrno>
 #include <cmath>

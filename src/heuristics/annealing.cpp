@@ -1,12 +1,11 @@
 #include "pipesched/heuristics/annealing.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "annealing_schedule.hpp"
 #include "pipesched/core/delta_evaluation.hpp"
 #include "pipesched/workload/rng.hpp"
 
@@ -16,52 +15,11 @@ namespace {
 
 using workload::Rng;
 
-struct EnergyModel {
-  Objective objective;
-  Real threshold;
-  Real penalty;  ///< absolute penalty weight per unit of violation
-
-  [[nodiscard]] Real energy(const Metrics& m) const {
-    const Real primary =
-        objective == Objective::kMinLatencyForPeriod ? m.latency : m.period;
-    const Real constrained =
-        objective == Objective::kMinLatencyForPeriod ? m.period : m.latency;
-    return primary + penalty * std::max(Real(0), constrained - threshold);
-  }
-
-  [[nodiscard]] bool feasible(const Metrics& m) const {
-    const Real constrained =
-        objective == Objective::kMinLatencyForPeriod ? m.period : m.latency;
-    return lessOrNearlyEqual(constrained, threshold);
-  }
-};
-
-/// Shared annealing schedule derived from the seed metrics.
-struct Schedule {
-  EnergyModel model;
-  Real t0;
-  Real decay;
-
-  Schedule(Objective objective, Real threshold, const Metrics& seedMetrics,
-           const AnnealingOptions& options)
-      : model{objective, threshold, Real(0)} {
-    // Scale both the penalty and the temperature schedule to the seed energy
-    // so the options are instance-size independent.
-    const Real scale =
-        std::max(Real(1), std::max(seedMetrics.period, seedMetrics.latency));
-    model.penalty = options.penaltyWeight * scale;
-    t0 = std::max(kTimeEps, options.initialTemperatureFraction * scale);
-    const Real t1 = std::max(kTimeEps * kTimeEps, t0 * options.finalTemperatureFraction);
-    decay = std::pow(t1 / t0,
-                     Real(1) / static_cast<Real>(std::max<std::size_t>(1, options.moves - 1)));
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Delta path. proposeMove() consumes the SAME random sequence as the legacy
-// propose() below — guard order and draw order are in lockstep, so both
-// paths walk identical trajectories (the equivalence tests pin this) while
-// this one applies moves in place through the kernel.
+// proposeMove() consumes the SAME random sequence as the copy-edit-rebuild
+// reference (oracles::annealRebuild): guard order and draw order are in
+// lockstep, so both walk identical trajectories (the equivalence tests pin
+// this) while this one scores moves in place through the kernel. Its guards
+// are exactly the kernel's, so every proposed move is applicable.
 
 std::optional<core::Move> proposeMove(const core::DeltaEvaluator& delta, std::size_t p,
                                       std::vector<std::size_t>& unusedScratch, Rng& rng) {
@@ -69,7 +27,7 @@ std::optional<core::Move> proposeMove(const core::DeltaEvaluator& delta, std::si
   const std::size_t m = delta.intervalCount();
   // Only the reassign and split cases read the unused-processor list; build
   // it lazily there (it consumes no draws, so the random sequence stays in
-  // lockstep with the legacy path, which builds it unconditionally).
+  // lockstep with the reference, which builds it unconditionally).
   const auto refillUnused = [&] {
     unusedScratch.clear();
     for (std::size_t u = 0; u < p; ++u) {
@@ -125,10 +83,14 @@ std::optional<core::Move> proposeMove(const core::DeltaEvaluator& delta, std::si
   }
 }
 
-AnnealingResult annealDelta(const Evaluator& eval, const IntervalMapping& seedMapping,
-                            Objective objective, Real threshold,
-                            const AnnealingOptions& options) {
+}  // namespace
+
+AnnealingResult anneal(const Evaluator& eval, const IntervalMapping& seedMapping,
+                       Objective objective, Real threshold, const AnnealingOptions& options) {
+  const std::size_t n = eval.pipeline().stageCount();
   const std::size_t p = eval.platform().processorCount();
+  seedMapping.validate(n, p);
+  if (options.moves == 0) throw ModelError("anneal: moves must be >= 1");
 
   core::EvalWorkspace workspace;
   workspace.reserve(p, p);
@@ -136,8 +98,8 @@ AnnealingResult annealDelta(const Evaluator& eval, const IntervalMapping& seedMa
   delta.load(seedMapping);
 
   Metrics currentMetrics = delta.metrics();
-  const Schedule schedule(objective, threshold, currentMetrics, options);
-  const EnergyModel& model = schedule.model;
+  const detail::Schedule schedule(objective, threshold, currentMetrics, options);
+  const detail::EnergyModel& model = schedule.model;
   Real currentEnergy = model.energy(currentMetrics);
 
   // The best state is tracked as a raw parts copy: the buffer's capacity is
@@ -156,27 +118,15 @@ AnnealingResult annealDelta(const Evaluator& eval, const IntervalMapping& seedMa
   for (std::size_t step = 0; step < options.moves; ++step, temperature *= schedule.decay) {
     const std::optional<core::Move> move = proposeMove(delta, p, unusedScratch, rng);
     if (!move) continue;
-    // Proposals are scored by peek() without touching the scratch state;
-    // apply/undo remains as a defensive fallback. proposeMove's guards are
-    // exhaustive, so neither can fail — a failure here would desynchronize
-    // the random sequence from the legacy path.
-    Metrics m;
-    bool pendingApply = false;
-    if (const std::optional<Metrics> peeked = delta.peek(*move)) {
-      m = *peeked;
-    } else {
-      [[maybe_unused]] const bool applied = delta.apply(*move);
-      assert(applied);
-      m = delta.metrics();
-      pendingApply = true;
-    }
+    // Scored by peek() without touching the scratch state; only an accepted
+    // move is applied.
+    const std::optional<Metrics> peeked = delta.peek(*move);
+    if (!peeked) continue;
+    const Metrics& m = *peeked;
     const Real e = model.energy(m);
     const Real diff = e - currentEnergy;
     if (diff <= 0 || rng.nextReal() < std::exp(-diff / temperature)) {
-      if (!pendingApply) {
-        [[maybe_unused]] const bool applied = delta.apply(*move);
-        assert(applied);
-      }
+      delta.apply(*move);
       delta.commit();
       currentMetrics = m;
       currentEnergy = e;
@@ -190,151 +140,11 @@ AnnealingResult annealDelta(const Evaluator& eval, const IntervalMapping& seedMa
         best.feasible = feas;
         bestEnergy = e;
       }
-    } else if (pendingApply) {
-      delta.undo();
     }
   }
   best.mapping = IntervalMapping::fromValidated(std::move(bestParts));
   core::recordDeltaKernelStats(delta.stats());
   return best;
-}
-
-// ---------------------------------------------------------------------------
-// Rebuild path: the historical implementation, kept verbatim as the
-// differential reference and the bench baseline. Draw order must stay in
-// lockstep with proposeMove() above.
-
-/// Proposes one random neighbor, or nullopt when the sampled move does not
-/// apply to the current state (caller just samples again).
-std::optional<IntervalMapping> propose(const IntervalMapping& current, std::size_t p,
-                                       Rng& rng) {
-  const std::size_t m = current.intervalCount();
-  std::vector<core::Assignment> parts = current.assignments();
-
-  std::vector<bool> used(p, false);
-  for (const core::Assignment& a : parts) used[a.processor] = true;
-  std::vector<std::size_t> unused;
-  for (std::size_t u = 0; u < p; ++u) {
-    if (!used[u]) unused.push_back(u);
-  }
-
-  switch (rng.uniformInt(0, 4)) {
-    case 0: {  // shift a cut
-      if (m < 2) return std::nullopt;
-      const std::size_t j = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(m) - 2));
-      const bool leftGives = rng.uniformInt(0, 1) == 0;
-      if (leftGives) {
-        if (parts[j].interval.length() < 2) return std::nullopt;
-        --parts[j].interval.last;
-        --parts[j + 1].interval.first;
-      } else {
-        if (parts[j + 1].interval.length() < 2) return std::nullopt;
-        ++parts[j].interval.last;
-        ++parts[j + 1].interval.first;
-      }
-      break;
-    }
-    case 1: {  // swap two processors
-      if (m < 2) return std::nullopt;
-      const std::size_t j = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(m) - 1));
-      const std::size_t k = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(m) - 1));
-      if (j == k) return std::nullopt;
-      std::swap(parts[j].processor, parts[k].processor);
-      break;
-    }
-    case 2: {  // reassign to an unused processor
-      if (unused.empty()) return std::nullopt;
-      const std::size_t j = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(m) - 1));
-      const std::size_t u =
-          unused[static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(unused.size()) - 1))];
-      parts[j].processor = u;
-      break;
-    }
-    case 3: {  // merge adjacent intervals
-      if (m < 2) return std::nullopt;
-      const std::size_t j = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(m) - 2));
-      const bool keepLeft = rng.uniformInt(0, 1) == 0;
-      parts[j].interval.last = parts[j + 1].interval.last;
-      if (!keepLeft) parts[j].processor = parts[j + 1].processor;
-      parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-      break;
-    }
-    default: {  // split an interval
-      if (unused.empty()) return std::nullopt;
-      const std::size_t j = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(m) - 1));
-      const core::Interval iv = parts[j].interval;
-      if (iv.length() < 2) return std::nullopt;
-      const std::size_t q = static_cast<std::size_t>(
-          rng.uniformInt(static_cast<std::int64_t>(iv.first), static_cast<std::int64_t>(iv.last) - 1));
-      const std::size_t u =
-          unused[static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(unused.size()) - 1))];
-      core::Assignment tail;
-      tail.interval = {q + 1, iv.last};
-      tail.processor = u;
-      parts[j].interval.last = q;
-      parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(j) + 1, tail);
-      break;
-    }
-  }
-  return IntervalMapping(std::move(parts));
-}
-
-AnnealingResult annealRebuild(const Evaluator& eval, const IntervalMapping& seedMapping,
-                              Objective objective, Real threshold,
-                              const AnnealingOptions& options) {
-  const std::size_t p = eval.platform().processorCount();
-
-  Metrics currentMetrics = eval.evaluate(seedMapping);
-  const Schedule schedule(objective, threshold, currentMetrics, options);
-  const EnergyModel& model = schedule.model;
-
-  IntervalMapping current = seedMapping;
-  Real currentEnergy = model.energy(currentMetrics);
-
-  AnnealingResult best;
-  best.mapping = current;
-  best.metrics = currentMetrics;
-  best.feasible = model.feasible(currentMetrics);
-  Real bestEnergy = currentEnergy;
-
-  Rng rng(options.seed);
-  Real temperature = schedule.t0;
-  for (std::size_t step = 0; step < options.moves; ++step, temperature *= schedule.decay) {
-    std::optional<IntervalMapping> neighbor = propose(current, p, rng);
-    if (!neighbor) continue;
-    const Metrics m = eval.evaluate(*neighbor);
-    const Real e = model.energy(m);
-    const Real diff = e - currentEnergy;
-    if (diff <= 0 || rng.nextReal() < std::exp(-diff / temperature)) {
-      current = std::move(*neighbor);
-      currentMetrics = m;
-      currentEnergy = e;
-      ++best.accepted;
-      const bool feas = model.feasible(m);
-      // Track the best state: a feasible one always beats an infeasible one;
-      // otherwise compare energies.
-      if ((feas && !best.feasible) ||
-          (feas == best.feasible && e < bestEnergy)) {
-        best.mapping = current;
-        best.metrics = m;
-        best.feasible = feas;
-        bestEnergy = e;
-      }
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
-AnnealingResult anneal(const Evaluator& eval, const IntervalMapping& seedMapping,
-                       Objective objective, Real threshold, const AnnealingOptions& options) {
-  const std::size_t n = eval.pipeline().stageCount();
-  const std::size_t p = eval.platform().processorCount();
-  seedMapping.validate(n, p);
-  if (options.moves == 0) throw ModelError("anneal: moves must be >= 1");
-  return options.useDeltaKernel ? annealDelta(eval, seedMapping, objective, threshold, options)
-                                : annealRebuild(eval, seedMapping, objective, threshold, options);
 }
 
 }  // namespace pipesched::heuristics

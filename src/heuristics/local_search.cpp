@@ -1,63 +1,26 @@
 #include "pipesched/heuristics/local_search.hpp"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
+#include <optional>
 
+#include "local_search_score.hpp"
 #include "pipesched/core/delta_evaluation.hpp"
 
 namespace pipesched::heuristics {
 
-namespace {
-
-/// Scores used to rank candidate mappings: feasibility, then the optimized
-/// criterion, then the constrained criterion as tie-breaker.
-struct Score {
-  bool feasible = false;
-  Real primary = kInfinity;    ///< the optimized criterion
-  Real secondary = kInfinity;  ///< the constrained criterion
-};
-
-Score scoreOf(const Metrics& m, Objective objective, Real threshold) {
-  Score s;
-  if (objective == Objective::kMinLatencyForPeriod) {
-    s.feasible = lessOrNearlyEqual(m.period, threshold);
-    s.primary = m.latency;
-    s.secondary = m.period;
-  } else {
-    s.feasible = lessOrNearlyEqual(m.latency, threshold);
-    s.primary = m.period;
-    s.secondary = m.latency;
-  }
-  return s;
-}
-
-/// Strictly-better-than comparison. Feasible beats infeasible; among equals,
-/// an infeasible pair compares on the constraint violation (secondary) first
-/// so the search walks toward feasibility before optimizing.
-bool better(const Score& a, const Score& b) {
-  if (a.feasible != b.feasible) return a.feasible;
-  if (!a.feasible) {
-    if (definitelyLess(a.secondary, b.secondary)) return true;
-    if (definitelyLess(b.secondary, a.secondary)) return false;
-    return definitelyLess(a.primary, b.primary);
-  }
-  if (definitelyLess(a.primary, b.primary)) return true;
-  if (definitelyLess(b.primary, a.primary)) return false;
-  return definitelyLess(a.secondary, b.secondary);
-}
-
-// ---------------------------------------------------------------------------
-// Delta path: candidates are scored through the incremental kernel —
-// apply / metrics / undo, O(touched-intervals) per candidate, no allocation.
-// The used-processor bitmap lives in the workspace and is maintained
+// Candidates are scored through the incremental kernel — peek(), no state
+// change, O(touched-intervals) per candidate, no allocation. The
+// used-processor bitmap lives in the workspace and is maintained
 // incrementally across accepted moves (no per-round rebuild).
-
-LocalSearchResult localSearchDelta(const Evaluator& eval, const IntervalMapping& seed,
-                                   Objective objective, Real threshold,
-                                   const LocalSearchOptions& options) {
+LocalSearchResult localSearch(const Evaluator& eval, const IntervalMapping& seed,
+                              Objective objective, Real threshold,
+                              const LocalSearchOptions& options) {
   using core::Move;
+  using detail::better;
+  using detail::Score;
+  using detail::scoreOf;
+  const std::size_t n = eval.pipeline().stageCount();
   const std::size_t p = eval.platform().processorCount();
+  seed.validate(n, p);
 
   core::EvalWorkspace workspace;
   workspace.reserve(p, p);
@@ -74,28 +37,19 @@ LocalSearchResult localSearchDelta(const Evaluator& eval, const IntervalMapping&
     Score bestScore = currentScore;
     bool improved = false;
 
-    // The kernel itself rejects inapplicable moves (too-short intervals,
-    // used processors), mirroring the legacy generator's guards, so the
-    // enumeration below stays a plain loop nest in the legacy order. Every
-    // candidate is scored by peek() — no state change, no undo; apply/undo
-    // remains as a defensive fallback only.
-    const auto scored = [&](const Metrics& m, const Move& move) {
-      const Score s = scoreOf(m, objective, threshold);
+    // peek() refuses exactly the moves apply() would (too-short intervals,
+    // used processors), so the enumeration below stays a plain loop nest
+    // over every move shape, in the copy-edit-rebuild reference's order.
+    const auto consider = [&](const Move& move) {
+      const std::optional<Metrics> peeked = delta.peek(move);
+      if (!peeked) return;
+      const Score s = scoreOf(*peeked, objective, threshold);
       if (better(s, bestScore)) {
         bestScore = s;
-        bestMetrics = m;
+        bestMetrics = *peeked;
         bestMove = move;
         improved = true;
       }
-    };
-    const auto consider = [&](const Move& move) {
-      if (const std::optional<Metrics> peeked = delta.peek(move)) {
-        scored(*peeked, move);
-        return;
-      }
-      if (!delta.apply(move)) return;
-      scored(delta.metrics(), move);
-      delta.undo();
     };
 
     const std::size_t m = delta.intervalCount();
@@ -147,163 +101,6 @@ LocalSearchResult localSearchDelta(const Evaluator& eval, const IntervalMapping&
   result.feasible = currentScore.feasible;
   core::recordDeltaKernelStats(delta.stats());
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Rebuild path: the historical copy-edit-rebuild + full-evaluate pattern,
-// kept verbatim as the differential reference for the delta kernel and as
-// the before/after baseline in bench/perf_eval. Candidate enumeration order
-// must stay in lockstep with localSearchDelta above — the equivalence tests
-// compare the two bit for bit.
-
-/// Bundles the evaluation context shared by the move generators.
-struct SearchContext {
-  const core::Evaluator& eval;
-  Objective objective;
-  Real threshold;
-
-  Score score(const IntervalMapping& mapping, Metrics* metricsOut = nullptr) const {
-    const Metrics m = eval.evaluate(mapping);
-    if (metricsOut != nullptr) *metricsOut = m;
-    return scoreOf(m, objective, threshold);
-  }
-};
-
-std::vector<bool> usedProcessors(const IntervalMapping& mapping, std::size_t p) {
-  std::vector<bool> used(p, false);
-  for (const core::Assignment& a : mapping.assignments()) used[a.processor] = true;
-  return used;
-}
-
-/// Applies `edit` to a copy of `mapping`'s assignment list and rebuilds.
-template <typename Edit>
-IntervalMapping edited(const IntervalMapping& mapping, Edit&& edit) {
-  std::vector<core::Assignment> parts = mapping.assignments();
-  edit(parts);
-  return IntervalMapping(std::move(parts));
-}
-
-LocalSearchResult localSearchRebuild(const Evaluator& eval, const IntervalMapping& seed,
-                                     Objective objective, Real threshold,
-                                     const LocalSearchOptions& options) {
-  const std::size_t p = eval.platform().processorCount();
-  const SearchContext ctx{eval, objective, threshold};
-
-  IntervalMapping current = seed;
-  Metrics currentMetrics;
-  Score currentScore = ctx.score(current, &currentMetrics);
-
-  LocalSearchResult result;
-  for (std::size_t round = 0; round < options.maxRounds; ++round) {
-    IntervalMapping bestNeighbor;
-    Metrics bestMetrics;
-    Score bestScore = currentScore;
-    bool improved = false;
-
-    const auto consider = [&](IntervalMapping neighbor) {
-      Metrics m;
-      const Score s = ctx.score(neighbor, &m);
-      if (better(s, bestScore)) {
-        bestScore = s;
-        bestMetrics = m;
-        bestNeighbor = std::move(neighbor);
-        improved = true;
-      }
-    };
-
-    const std::size_t m = current.intervalCount();
-    const std::vector<bool> used = usedProcessors(current, p);
-
-    // Move class 1: shift the cut between intervals j and j+1 by one stage.
-    for (std::size_t j = 0; j + 1 < m; ++j) {
-      const core::Interval left = current.interval(j);
-      const core::Interval right = current.interval(j + 1);
-      if (left.length() > 1) {  // give left's last stage to right
-        consider(edited(current, [&](auto& parts) {
-          --parts[j].interval.last;
-          --parts[j + 1].interval.first;
-        }));
-      }
-      if (right.length() > 1) {  // take right's first stage into left
-        consider(edited(current, [&](auto& parts) {
-          ++parts[j].interval.last;
-          ++parts[j + 1].interval.first;
-        }));
-      }
-    }
-
-    // Move class 2: swap the processors of intervals j and k.
-    for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t k = j + 1; k < m; ++k) {
-        consider(edited(current, [&](auto& parts) {
-          std::swap(parts[j].processor, parts[k].processor);
-        }));
-      }
-    }
-
-    // Move class 3: reassign interval j to an unused processor.
-    for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t u = 0; u < p; ++u) {
-        if (used[u]) continue;
-        consider(edited(current, [&](auto& parts) { parts[j].processor = u; }));
-      }
-    }
-
-    // Move class 4: merge adjacent intervals onto either processor.
-    if (options.mergeMoves) {
-      for (std::size_t j = 0; j + 1 < m; ++j) {
-        for (const bool keepLeft : {true, false}) {
-          consider(edited(current, [&](auto& parts) {
-            parts[j].interval.last = parts[j + 1].interval.last;
-            if (!keepLeft) parts[j].processor = parts[j + 1].processor;
-            parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-          }));
-        }
-      }
-    }
-
-    // Move class 5: split interval j at stage q, tail to an unused processor.
-    if (options.splitMoves && m < p) {
-      for (std::size_t j = 0; j < m; ++j) {
-        const core::Interval iv = current.interval(j);
-        for (std::size_t q = iv.first; q < iv.last; ++q) {
-          for (std::size_t u = 0; u < p; ++u) {
-            if (used[u]) continue;
-            consider(edited(current, [&](auto& parts) {
-              core::Assignment tail;
-              tail.interval = {q + 1, iv.last};
-              tail.processor = u;
-              parts[j].interval.last = q;
-              parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(j) + 1, tail);
-            }));
-          }
-        }
-      }
-    }
-
-    if (!improved) break;
-    current = std::move(bestNeighbor);
-    currentMetrics = bestMetrics;
-    currentScore = bestScore;
-    ++result.roundsAccepted;
-  }
-
-  result.mapping = std::move(current);
-  result.metrics = currentMetrics;
-  result.feasible = currentScore.feasible;
-  return result;
-}
-
-}  // namespace
-
-LocalSearchResult localSearch(const Evaluator& eval, const IntervalMapping& seed,
-                              Objective objective, Real threshold,
-                              const LocalSearchOptions& options) {
-  const std::size_t n = eval.pipeline().stageCount();
-  const std::size_t p = eval.platform().processorCount();
-  seed.validate(n, p);
-  return options.useDeltaKernel ? localSearchDelta(eval, seed, objective, threshold, options)
-                                : localSearchRebuild(eval, seed, objective, threshold, options);
 }
 
 Result refineWithLocalSearch(const Evaluator& eval, const MappingHeuristic& heuristic,

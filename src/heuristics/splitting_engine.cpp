@@ -145,42 +145,24 @@ class Engine {
     return best;
   }
 
-  /// Scores one replacement of interval j in place; leaves score == kInfinity
-  /// when the candidate is inadmissible (does not strictly improve the
-  /// bottleneck cycle, or violates the latency cap). Dispatches between the
-  /// delta kernel and the legacy rebuild pattern — both produce bit-identical
-  /// scores (the phase times come from the same Evaluator::breakdown fill).
+  /// Scores one replacement of interval j in place (replaceInterval, read,
+  /// undo); leaves score == kInfinity when the candidate is inadmissible
+  /// (uses a busy processor, does not strictly improve the bottleneck cycle,
+  /// or violates the latency cap).
   void scoreCandidate(std::size_t j, Candidate& c, Real cycleBefore, Real latencyBefore) {
-    Metrics m;
+    if (!delta_.replaceInterval(j, c.parts.data(), c.count)) return;
+    const Metrics m = delta_.metrics();
     Real maxCycle = 0;
     Real minGain = kInfinity;
     Real maxGain = 0;
-    if (config_.useDeltaKernel) {
-      if (!delta_.replaceInterval(j, c.parts.data(), c.count)) return;
-      m = delta_.metrics();
-      for (std::size_t r = 0; r < c.count; ++r) {
-        const Real cycle = delta_.cycle(j + r);
-        maxCycle = std::max(maxCycle, cycle);
-        const Real gain = cycleBefore - cycle;
-        minGain = std::min(minGain, gain);
-        maxGain = std::max(maxGain, gain);
-      }
-      delta_.undo();
-    } else {
-      // Legacy cost profile: materialize, copy-edit (re-checking ordering),
-      // full evaluate, then per-part breakdowns in context.
-      IntervalMapping after = delta_.mapping();
-      after.replaceInterval(j, std::vector<Assignment>(c.parts.begin(),
-                                                       c.parts.begin() + static_cast<std::ptrdiff_t>(c.count)));
-      m = eval_.evaluate(after);
-      for (std::size_t r = 0; r < c.count; ++r) {
-        const Real cycle = eval_.intervalCycle(after, j + r);
-        maxCycle = std::max(maxCycle, cycle);
-        const Real gain = cycleBefore - cycle;
-        minGain = std::min(minGain, gain);
-        maxGain = std::max(maxGain, gain);
-      }
+    for (std::size_t r = 0; r < c.count; ++r) {
+      const Real cycle = delta_.cycle(j + r);
+      maxCycle = std::max(maxCycle, cycle);
+      const Real gain = cycleBefore - cycle;
+      minGain = std::min(minGain, gain);
+      maxGain = std::max(maxGain, gain);
     }
+    delta_.undo();
     c.latencyAfter = m.latency;
     c.maxNewCycle = maxCycle;
 

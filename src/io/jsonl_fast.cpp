@@ -29,7 +29,11 @@ void BlockLineReader::ensureRoom() {
     begin_ = 0;
     if (buffer_.size() - end_ >= blockSize_) return;
   }
-  buffer_.resize(std::max(buffer_.size() * 2, end_ + blockSize_));
+  // next() stops buffering a line once it passes kMaxRequestBytes, so the
+  // pending line here is at most that long plus the unreclaimed prefix
+  // (< one block): the cap below always leaves a block of room.
+  buffer_.resize(std::min(std::max(buffer_.size() * 2, end_ + blockSize_),
+                          kMaxRequestBytes + 2 * blockSize_));
 }
 
 bool BlockLineReader::fill() {
@@ -64,16 +68,26 @@ std::optional<MutableLine> BlockLineReader::next() {
       void* found = std::memchr(buffer_.data() + scan_, '\n', end_ - scan_);
       if (found != nullptr) {
         char* nl = static_cast<char*>(found);
+        const std::size_t nlPos = static_cast<std::size_t>(nl - buffer_.data());
+        if (discarding_ || nlPos - begin_ > kMaxRequestBytes) return dropLine(nlPos + 1);
         char* lineStart = buffer_.data() + begin_;
-        const std::size_t lineSize = static_cast<std::size_t>(nl - lineStart);
+        const std::size_t lineSize = nlPos - begin_;
         *nl = '\0';
-        begin_ = static_cast<std::size_t>(nl - buffer_.data()) + 1;
+        begin_ = nlPos + 1;
         scan_ = begin_;
         return MutableLine{lineStart, lineSize};
       }
       scan_ = end_;
+      if (discarding_ || end_ - begin_ > kMaxRequestBytes) {
+        // Over the limit and still no newline: drop what is buffered and keep
+        // dropping until the line ends (ensureRoom then reuses the buffer
+        // from its start).
+        discarding_ = true;
+        begin_ = end_;
+      }
     }
     if (eof_) {
+      if (discarding_) return dropLine(end_);
       if (begin_ == end_) return std::nullopt;
       // Final line without a trailing '\n'.
       if (end_ == buffer_.size()) buffer_.resize(end_ + 1);
@@ -84,6 +98,12 @@ std::optional<MutableLine> BlockLineReader::next() {
     }
     if (!fill()) eof_ = true;
   }
+}
+
+MutableLine BlockLineReader::dropLine(std::size_t lineEnd) {
+  discarding_ = false;
+  begin_ = scan_ = lineEnd;
+  return MutableLine{nullptr, 0, /*overLimit=*/true};
 }
 
 // ---------------------------------------------------------------------------
@@ -139,8 +159,9 @@ const LiteValue* LiteDocument::find(std::string_view key) const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// LiteParser — every production, check order and message below mirrors
-// json_reader.cpp's Parser; the differential suite holds the two together.
+// LiteParser — every production, check order and message below mirrors the
+// reference tree reader's Parser in the pipesched_oracles target; the
+// differential suite holds the two together.
 
 void LiteParser::fail(const std::string& message) const {
   // The input is one newline-free line by construction, so the offending

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cli_test_util.hpp"
-#include "pipesched/io/json_reader.hpp"
+#include "pipesched/oracles/json_reader.hpp"
 
 namespace pipesched::cli {
 namespace {

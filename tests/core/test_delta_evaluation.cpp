@@ -101,6 +101,56 @@ Move randomMove(const DeltaEvaluator& delta, std::size_t p, Rng& rng) {
   }
 }
 
+/// A random 1..3-part replacement tiling interval j, for
+/// DeltaEvaluator::replaceInterval. Each part's processor is drawn from the
+/// owner, the unused processors or the processors other intervals use, and
+/// no processor repeats, so the kernel must refuse it exactly when a
+/// non-owner part lands on a used processor (reported through `refused`).
+std::vector<Assignment> randomReplacement(const DeltaEvaluator& delta, std::size_t j,
+                                          std::size_t p, Rng& rng, bool& refused) {
+  const auto pick = [&](std::size_t hi) {
+    return static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(hi)));
+  };
+  const Interval victim = delta.assignment(j).interval;
+  const std::size_t owner = delta.assignment(j).processor;
+  const std::size_t count = 1 + pick(std::min<std::size_t>(2, victim.length() - 1));
+  std::vector<std::size_t> ends;
+  while (ends.size() + 1 < count) {
+    const std::size_t e = victim.first + pick(victim.length() - 2);
+    if (std::find(ends.begin(), ends.end(), e) == ends.end()) ends.push_back(e);
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.push_back(victim.last);
+
+  std::vector<Assignment> parts;
+  refused = false;
+  std::size_t first = victim.first;
+  for (const std::size_t last : ends) {
+    const auto taken = [&](std::size_t u) {
+      return std::any_of(parts.begin(), parts.end(),
+                         [&](const Assignment& a) { return a.processor == u; });
+    };
+    std::vector<std::size_t> pool;
+    const std::size_t kind = pick(2);  // 0 owner, 1 unused, 2 used elsewhere
+    for (std::size_t u = 0; u < p; ++u) {
+      const bool matches = kind == 0   ? u == owner
+                           : kind == 1 ? !delta.processorUsed(u)
+                                       : u != owner && delta.processorUsed(u);
+      if (matches && !taken(u)) pool.push_back(u);
+    }
+    if (pool.empty()) {  // that kind is exhausted: any processor not yet taken
+      for (std::size_t u = 0; u < p; ++u) {
+        if (!taken(u)) pool.push_back(u);
+      }
+    }
+    const std::size_t u = pool[pick(pool.size() - 1)];
+    refused = refused || (u != owner && delta.processorUsed(u));
+    parts.push_back(Assignment{{first, last}, u});
+    first = last + 1;
+  }
+  return parts;
+}
+
 void expectStateMatchesFreshEvaluate(DeltaEvaluator& delta, const Evaluator& eval) {
   const IntervalMapping materialized = delta.mapping();
   const Metrics fresh = eval.evaluate(materialized);
@@ -158,18 +208,46 @@ TEST_P(DeltaEvaluationRandomized, LongMoveSequenceStaysBitIdentical) {
     delta.load(randomMapping(n, p, rng));
 
     int applied = 0;
+    int replaced = 0;
+    int refusedReplaces = 0;
     for (int step = 0; step < 300; ++step) {
-      const Move move = randomMove(delta, p, rng);
-      // peek() must agree with apply + metrics exactly, succeed on every
-      // applicable move of any kind, and reject whatever apply rejects.
-      const std::optional<Metrics> peeked = delta.peek(move);
-      if (!delta.apply(move)) {
-        EXPECT_FALSE(peeked.has_value());
-        continue;
+      if (rng.uniformInt(0, 5) == 0) {
+        // The splitting engine's edit: replace interval j by 1..3 parts. The
+        // kernel must agree bit for bit with IntervalMapping::replaceInterval
+        // + a full evaluate, and refuse exactly the busy-processor cases.
+        const std::size_t j = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(delta.intervalCount()) - 1));
+        bool refuse = false;
+        const std::vector<Assignment> parts = randomReplacement(delta, j, p, rng, refuse);
+        const IntervalMapping before = delta.mapping();
+        if (!delta.replaceInterval(j, parts.data(), parts.size())) {
+          EXPECT_TRUE(refuse) << before.describe();
+          EXPECT_EQ(delta.mapping(), before);
+          ++refusedReplaces;
+          continue;
+        }
+        EXPECT_FALSE(refuse) << before.describe();
+        IntervalMapping reference = before;
+        reference.replaceInterval(j, parts);
+        EXPECT_EQ(delta.mapping(), reference);
+        EXPECT_EQ(delta.metrics(), eval.evaluate(reference)) << reference.describe();
+        for (std::size_t r = 0; r < parts.size(); ++r) {
+          EXPECT_EQ(delta.cycle(j + r), eval.intervalCycle(reference, j + r));
+        }
+        ++replaced;
+      } else {
+        const Move move = randomMove(delta, p, rng);
+        // peek() must agree with apply + metrics exactly, succeed on every
+        // applicable move of any kind, and reject whatever apply rejects.
+        const std::optional<Metrics> peeked = delta.peek(move);
+        if (!delta.apply(move)) {
+          EXPECT_FALSE(peeked.has_value());
+          continue;
+        }
+        ASSERT_TRUE(peeked.has_value());
+        EXPECT_EQ(*peeked, delta.metrics());
+        ++applied;
       }
-      ASSERT_TRUE(peeked.has_value());
-      EXPECT_EQ(*peeked, delta.metrics());
-      ++applied;
       if (rng.uniformInt(0, 2) == 0) {
         // Reject: undo must restore the previous state bit for bit.
         delta.undo();
@@ -180,8 +258,11 @@ TEST_P(DeltaEvaluationRandomized, LongMoveSequenceStaysBitIdentical) {
       expectUsedBitmapConsistent(delta, p);
       if (::testing::Test::HasFailure()) return;
     }
-    // The guard set must still let a healthy share of moves through.
+    // The guard set must still let a healthy share of moves through, and
+    // the replacements must exercise both outcomes.
     EXPECT_GT(applied, 50);
+    EXPECT_GT(replaced, 5);
+    EXPECT_GT(refusedReplaces, 0);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pipesched/heuristics/annealing.hpp"
+#include "pipesched/oracles/search_rebuild.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::heuristics {
@@ -137,10 +138,8 @@ TEST(Annealing, DeltaKernelMatchesRebuildPathBitForBit) {
     AnnealingOptions deltaOpts;
     deltaOpts.seed = 100 + static_cast<std::uint64_t>(i);
     deltaOpts.moves = 4'000;
-    AnnealingOptions rebuildOpts = deltaOpts;
-    rebuildOpts.useDeltaKernel = false;
     const auto a = anneal(eval, seed, obj, base * 0.75, deltaOpts);
-    const auto b = anneal(eval, seed, obj, base * 0.75, rebuildOpts);
+    const auto b = oracles::annealRebuild(eval, seed, obj, base * 0.75, deltaOpts);
     EXPECT_EQ(a.mapping, b.mapping);
     EXPECT_EQ(a.metrics, b.metrics);  // Metrics compares the doubles exactly
     EXPECT_EQ(a.feasible, b.feasible);
@@ -157,10 +156,9 @@ TEST(Annealing, DeltaKernelMatchesRebuildOnFullyHeterogeneousPlatforms) {
   AnnealingOptions deltaOpts;
   deltaOpts.seed = 99;
   deltaOpts.moves = 4'000;
-  AnnealingOptions rebuildOpts = deltaOpts;
-  rebuildOpts.useDeltaKernel = false;
   const auto a = anneal(eval, seed, Objective::kMinPeriodForLatency, kInfinity, deltaOpts);
-  const auto b = anneal(eval, seed, Objective::kMinPeriodForLatency, kInfinity, rebuildOpts);
+  const auto b = oracles::annealRebuild(eval, seed, Objective::kMinPeriodForLatency,
+                                        kInfinity, deltaOpts);
   EXPECT_EQ(a.mapping, b.mapping);
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.feasible, b.feasible);

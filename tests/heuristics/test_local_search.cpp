@@ -7,6 +7,7 @@
 #include "pipesched/exact/exhaustive.hpp"
 #include "pipesched/heuristics/local_search.hpp"
 #include "pipesched/heuristics/registry.hpp"
+#include "pipesched/oracles/search_rebuild.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::heuristics {
@@ -187,10 +188,8 @@ TEST(LocalSearch, DeltaKernelMatchesRebuildPathBitForBit) {
         i % 2 == 0 ? Objective::kMinLatencyForPeriod : Objective::kMinPeriodForLatency;
     const Real base = obj == Objective::kMinLatencyForPeriod ? eval.period(seed)
                                                              : eval.latency(seed);
-    LocalSearchOptions rebuildOpts;
-    rebuildOpts.useDeltaKernel = false;
     const auto a = localSearch(eval, seed, obj, base * 0.8);
-    const auto b = localSearch(eval, seed, obj, base * 0.8, rebuildOpts);
+    const auto b = oracles::localSearchRebuild(eval, seed, obj, base * 0.8);
     EXPECT_EQ(a.mapping, b.mapping);
     EXPECT_EQ(a.metrics, b.metrics);  // Metrics compares the doubles exactly
     EXPECT_EQ(a.roundsAccepted, b.roundsAccepted);
@@ -205,12 +204,10 @@ TEST(LocalSearch, DeltaKernelMatchesRebuildOnFullyHeterogeneousPlatforms) {
       {3, 7, 5, 2});
   const Evaluator eval(pipe, plat);
   const auto seed = eval.optimalLatencyMapping();
-  LocalSearchOptions rebuildOpts;
-  rebuildOpts.useDeltaKernel = false;
   const Real threshold = eval.period(seed) * 0.7;
   const auto a = localSearch(eval, seed, Objective::kMinLatencyForPeriod, threshold);
-  const auto b = localSearch(eval, seed, Objective::kMinLatencyForPeriod, threshold,
-                             rebuildOpts);
+  const auto b =
+      oracles::localSearchRebuild(eval, seed, Objective::kMinLatencyForPeriod, threshold);
   EXPECT_EQ(a.mapping, b.mapping);
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.roundsAccepted, b.roundsAccepted);

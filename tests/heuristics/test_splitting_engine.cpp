@@ -204,10 +204,14 @@ TEST(SplittingEngine, LatencyCapAlwaysRespectedWhenInitialFits) {
   EXPECT_LE(r.metrics.latency, cap + kTimeEps);
 }
 
-TEST(SplittingEngine, DeltaKernelMatchesRebuildPathBitForBit) {
-  // The delta-kernel scoring path and the legacy copy-edit-rebuild path must
-  // agree bit for bit (H1..H6 are built on this engine, and the committed
-  // portfolio goldens pin its output byte-identically).
+TEST(SplittingEngine, EveryRuleArityAndTargetIsDeterministic) {
+  // H1..H6 are built on this engine, and the committed portfolio golden pins
+  // its output byte for byte. Every rule x arity x target combination must
+  // give the same result when repeated and on a fresh Evaluator, with
+  // metrics bit-identical to a full evaluate of the returned mapping. (The
+  // per-candidate score, DeltaEvaluator::replaceInterval, is held bit for bit
+  // to IntervalMapping::replaceInterval + Evaluator::evaluate by the
+  // randomized kernel suite in tests/core/test_delta_evaluation.cpp.)
   const Pipeline pipe({3, 1, 4, 1, 5, 9, 2, 6}, {2, 1, 3, 2, 1, 4, 2, 3, 1});
   const Platform plat({9, 7, 5, 3, 2}, 10);
   const Evaluator eval(pipe, plat);
@@ -218,15 +222,19 @@ TEST(SplittingEngine, DeltaKernelMatchesRebuildPathBitForBit) {
     for (const SplitArity arity : {SplitArity::kTwo, SplitArity::kThree}) {
       for (const std::optional<Real> target :
            {std::optional<Real>{}, std::optional<Real>{exhaustPeriod * 1.3}}) {
-        EngineConfig deltaConfig = config(rule, arity, target, eval.optimalLatency() * 1.4);
-        EngineConfig rebuildConfig = deltaConfig;
-        rebuildConfig.useDeltaKernel = false;
-        const EngineResult a = runSplittingEngine(eval, deltaConfig);
-        const EngineResult b = runSplittingEngine(eval, rebuildConfig);
-        EXPECT_EQ(a.mapping, b.mapping);
-        EXPECT_EQ(a.metrics, b.metrics);  // Metrics compares the doubles exactly
-        EXPECT_EQ(a.splits, b.splits);
-        EXPECT_EQ(a.reachedTarget, b.reachedTarget);
+        const EngineConfig c = config(rule, arity, target, eval.optimalLatency() * 1.4);
+        const EngineResult a = runSplittingEngine(eval, c);
+        const EngineResult b = runSplittingEngine(eval, c);
+        const Evaluator fresh(pipe, plat);
+        const EngineResult f = runSplittingEngine(fresh, c);
+        for (const EngineResult* other : {&b, &f}) {
+          EXPECT_EQ(a.mapping, other->mapping);
+          EXPECT_EQ(a.metrics, other->metrics);  // Metrics compares the doubles exactly
+          EXPECT_EQ(a.splits, other->splits);
+          EXPECT_EQ(a.reachedTarget, other->reachedTarget);
+        }
+        EXPECT_EQ(a.metrics, eval.evaluate(a.mapping));
+        EXPECT_GT(a.splits, 0u);
       }
     }
   }

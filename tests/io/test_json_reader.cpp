@@ -5,7 +5,7 @@
 
 #include <string>
 
-#include "pipesched/io/json_reader.hpp"
+#include "pipesched/oracles/json_reader.hpp"
 
 namespace pipesched::io {
 namespace {

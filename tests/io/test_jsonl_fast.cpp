@@ -1,16 +1,19 @@
-// The zero-copy ingestion path: BlockLineReader line carving, the in-place
-// LiteParser, and — the load-bearing contract — a differential suite driving
-// the same corpus through io::parseJson (legacy tree reader) and the fast
-// tokenizer, asserting bit-identical values and identical error
-// classification, both at the raw-JSON level and end to end through
-// stream::JsonlSource in its kFast and kLegacy modes.
+// The zero-copy ingestion path: BlockLineReader line carving and its line
+// limit, the in-place LiteParser, and — the load-bearing contract — a
+// differential suite driving the same corpus through io::parseJson (the
+// tree reader in pipesched_oracles) and the fast tokenizer, asserting
+// bit-identical values and identical error classification, both at the
+// raw-JSON level and end to end through stream::JsonlSource against
+// oracles::LegacyJsonlSource.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <random>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <unistd.h>
 #include <utility>
@@ -18,10 +21,11 @@
 
 #include "pipesched/io/format.hpp"
 #include "pipesched/io/json.hpp"
-#include "pipesched/io/json_reader.hpp"
 #include "pipesched/io/jsonl_fast.hpp"
 #include "pipesched/obs/metrics.hpp"
 #include "pipesched/obs/trace.hpp"
+#include "pipesched/oracles/json_reader.hpp"
+#include "pipesched/oracles/legacy_jsonl_source.hpp"
 #include "pipesched/service/fingerprint.hpp"
 #include "pipesched/stream/source.hpp"
 #include "pipesched/workload/generator.hpp"
@@ -113,6 +117,72 @@ TEST(BlockLineReader, MatchesGetlineOnRandomizedStreams) {
     BlockLineReader reader(in, /*blockSize=*/1 + rng() % 64);
     EXPECT_EQ(drainLines(reader), viaGetline) << "round " << round;
   }
+}
+
+/// Yields `size` bytes of 'x' and then `tail`, generating them chunk by chunk
+/// so a line far over the limit costs the producer no memory.
+class LongLineBuf : public std::streambuf {
+ public:
+  LongLineBuf(std::size_t size, std::string tail)
+      : chunk_(64 * 1024, 'x'), remaining_(size), tail_(std::move(tail)) {}
+
+ protected:
+  int_type underflow() override {
+    if (remaining_ > 0) {
+      const std::size_t n = std::min(remaining_, chunk_.size());
+      remaining_ -= n;
+      setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    } else if (!tailServed_ && !tail_.empty()) {
+      tailServed_ = true;
+      setg(tail_.data(), tail_.data(), tail_.data() + tail_.size());
+    } else {
+      return traits_type::eof();
+    }
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::string chunk_;
+  std::size_t remaining_;
+  std::string tail_;
+  bool tailServed_ = false;
+};
+
+TEST(BlockLineReader, OverLimitLineIsDroppedThroughItsNewline) {
+  LongLineBuf buf(kMaxRequestBytes + 1, "\nok\n");
+  std::istream in(&buf);
+  BlockLineReader reader(in);
+  const std::optional<MutableLine> dropped = reader.next();
+  ASSERT_TRUE(dropped.has_value());
+  EXPECT_TRUE(dropped->overLimit);
+  EXPECT_EQ(dropped->size, 0u);
+  const std::optional<MutableLine> next = reader.next();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_FALSE(next->overLimit);
+  EXPECT_EQ(std::string(next->data, next->size), "ok");
+  EXPECT_EQ(reader.next(), std::nullopt);
+}
+
+TEST(BlockLineReader, OverLimitFinalLineWithoutNewlineIsDropped) {
+  LongLineBuf buf(kMaxRequestBytes + 4096, "");
+  std::istream in(&buf);
+  BlockLineReader reader(in, /*blockSize=*/1000);
+  const std::optional<MutableLine> dropped = reader.next();
+  ASSERT_TRUE(dropped.has_value());
+  EXPECT_TRUE(dropped->overLimit);
+  EXPECT_EQ(reader.next(), std::nullopt);
+}
+
+TEST(BlockLineReader, LineAtTheLimitIsKept) {
+  LongLineBuf buf(kMaxRequestBytes, "\n");
+  std::istream in(&buf);
+  BlockLineReader reader(in);
+  const std::optional<MutableLine> line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_FALSE(line->overLimit);
+  EXPECT_EQ(line->size, kMaxRequestBytes);
+  EXPECT_EQ(line->data[line->size], '\0');
+  EXPECT_EQ(reader.next(), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +405,7 @@ TEST(JsonlFastDifferential, AccessorErrorsMatchTreeReader) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end differential: JsonlSource in kFast vs kLegacy mode over the
+// End-to-end differential: JsonlSource vs oracles::LegacyJsonlSource over the
 // same input must yield identical requests (canonical key + name) and
 // identical error classification (line number + message).
 // ---------------------------------------------------------------------------
@@ -347,16 +417,14 @@ struct SourceTrace {
   std::size_t linesRead = 0;
 };
 
-SourceTrace runSource(const std::string& input, stream::JsonlReader mode,
-                      stream::JsonlDefaults defaults = {}) {
+/// Drains a stream::JsonlSource or an oracles::LegacyJsonlSource over `input`.
+template <typename SourceT>
+SourceTrace runSource(const std::string& input, stream::JsonlDefaults defaults = {}) {
   SourceTrace trace;
   std::istringstream in(input);
-  stream::JsonlSource source(
-      in, defaults,
-      [&](std::size_t line, const std::string& message) {
-        trace.errors.emplace_back(line, message);
-      },
-      mode);
+  SourceT source(in, defaults, [&](std::size_t line, const std::string& message) {
+    trace.errors.emplace_back(line, message);
+  });
   while (std::optional<service::Request> request = source.next()) {
     trace.keys.push_back(service::canonicalKey(*request));
     trace.names.push_back(request->name);
@@ -367,8 +435,8 @@ SourceTrace runSource(const std::string& input, stream::JsonlReader mode,
 
 void expectSourcesAgree(const std::string& input,
                         stream::JsonlDefaults defaults = {}) {
-  const SourceTrace fast = runSource(input, stream::JsonlReader::kFast, defaults);
-  const SourceTrace legacy = runSource(input, stream::JsonlReader::kLegacy, defaults);
+  const SourceTrace fast = runSource<stream::JsonlSource>(input, defaults);
+  const SourceTrace legacy = runSource<oracles::LegacyJsonlSource>(input, defaults);
   EXPECT_EQ(fast.keys, legacy.keys);
   EXPECT_EQ(fast.names, legacy.names);
   EXPECT_EQ(fast.errors, legacy.errors);
@@ -457,14 +525,14 @@ TEST(JsonlSourceDifferential, FullProtocolCorpus) {
   expectSourcesAgree(byCrlf, defaults);
 
   // Sanity: the corpus actually produced requests and errors.
-  const SourceTrace fast = runSource(byLf, stream::JsonlReader::kFast);
+  const SourceTrace fast = runSource<stream::JsonlSource>(byLf);
   EXPECT_EQ(fast.keys.size(), 7u);
   EXPECT_GE(fast.errors.size(), 20u);
   std::remove(psiPath.c_str());
 }
 
 TEST(JsonlSourceDifferential, RandomizedRequestLines) {
-  // Random field soup over the protocol's vocabulary: both modes must agree
+  // Random field soup over the protocol's vocabulary: both readers must agree
   // on every line, whatever combination of fields lands.
   const std::vector<std::string> fieldPool = {
       R"("kind": "E1")",      R"("kind": "E4")",     R"("kind": "bad")",
@@ -496,9 +564,8 @@ TEST(JsonlSourceDifferential, DuplicateKeysAreRejectedByBothReaders) {
       "\n"
       R"({"kind": "E1", "kind": "E1", "stages": 3, "processors": 2})"
       "\n";
-  for (const stream::JsonlReader mode :
-       {stream::JsonlReader::kFast, stream::JsonlReader::kLegacy}) {
-    const SourceTrace trace = runSource(input, mode);
+  for (const SourceTrace& trace :
+       {runSource<stream::JsonlSource>(input), runSource<oracles::LegacyJsonlSource>(input)}) {
     EXPECT_TRUE(trace.keys.empty());
     ASSERT_EQ(trace.errors.size(), 2u);
     EXPECT_EQ(trace.errors[0],
@@ -508,34 +575,40 @@ TEST(JsonlSourceDifferential, DuplicateKeysAreRejectedByBothReaders) {
   }
 }
 
-TEST(JsonlSourceDifferential, WithoutHandlerBothReadersThrowTheSameError) {
-  for (const stream::JsonlReader mode :
-       {stream::JsonlReader::kFast, stream::JsonlReader::kLegacy}) {
-    std::istringstream in("\n{\"stages\": 4, \"stages\": 8}\n");
-    stream::JsonlSource source(in, {}, /*onError=*/{}, mode);
-    try {
-      (void)source.next();
-      FAIL() << "expected ParseError";
-    } catch (const ParseError& e) {
-      EXPECT_STREQ(e.what(), "line 2: duplicate field 'stages'");
-    }
+/// The error a handler-less source throws on its first request line.
+template <typename SourceT>
+std::string firstLineError(const std::string& input) {
+  std::istringstream in(input);
+  SourceT source(in);
+  try {
+    (void)source.next();
+  } catch (const ParseError& e) {
+    return e.what();
   }
+  return "no ParseError";
+}
+
+TEST(JsonlSourceDifferential, WithoutHandlerBothReadersThrowTheSameError) {
+  const std::string input = "\n{\"stages\": 4, \"stages\": 8}\n";
+  EXPECT_EQ(firstLineError<stream::JsonlSource>(input), "line 2: duplicate field 'stages'");
+  EXPECT_EQ(firstLineError<oracles::LegacyJsonlSource>(input),
+            "line 2: duplicate field 'stages'");
 }
 
 TEST(JsonlSourceDifferential, ErroredLinesFeedParseMetrics) {
   obs::ScopedMetricsEnabled metrics(true);
   obs::Counter& errors = obs::registry().counter(obs::names::kParseErrors);
   obs::Histogram& parse = obs::stageHistogram(obs::Stage::kParse);
-  for (const stream::JsonlReader mode :
-       {stream::JsonlReader::kFast, stream::JsonlReader::kLegacy}) {
+  const std::string input =
+      R"({"kind": "E1", "stages": 3, "processors": 2})"
+      "\nnot json\n"
+      R"({"bogus": true})"
+      "\n";
+  for (const auto run : {&runSource<stream::JsonlSource>,
+                         &runSource<oracles::LegacyJsonlSource>}) {
     const std::uint64_t errorsBefore = errors.value();
     const std::uint64_t parsedBefore = parse.snapshot().count;
-    const std::string input =
-        R"({"kind": "E1", "stages": 3, "processors": 2})"
-        "\nnot json\n"
-        R"({"bogus": true})"
-        "\n";
-    const SourceTrace trace = runSource(input, mode);
+    const SourceTrace trace = run(input, {});
     EXPECT_EQ(trace.keys.size(), 1u);
     EXPECT_EQ(trace.errors.size(), 2u);
     EXPECT_EQ(errors.value() - errorsBefore, 2u);
@@ -543,6 +616,28 @@ TEST(JsonlSourceDifferential, ErroredLinesFeedParseMetrics) {
     // included, so a dirty corpus cannot flatter the parse percentiles.
     EXPECT_EQ(parse.snapshot().count - parsedBefore, 3u);
   }
+}
+
+TEST(JsonlSourceLimits, OverLimitLineIsOneParseErrorAndTheNextLineParses) {
+  obs::ScopedMetricsEnabled metrics(true);
+  obs::Counter& errors = obs::registry().counter(obs::names::kParseErrors);
+  const std::uint64_t errorsBefore = errors.value();
+  LongLineBuf buf(kMaxRequestBytes + 1,
+                  "\n" R"({"kind": "E1", "stages": 3, "processors": 2})" "\n");
+  std::istream in(&buf);
+  std::vector<std::pair<std::size_t, std::string>> lineErrors;
+  stream::JsonlSource source(in, {}, [&](std::size_t line, const std::string& message) {
+    lineErrors.emplace_back(line, message);
+  });
+  std::vector<std::size_t> requestLines;
+  while (std::optional<service::Request> request = source.next()) {
+    requestLines.push_back(request->sourceLine);
+  }
+  ASSERT_EQ(lineErrors.size(), 1u);
+  EXPECT_EQ(lineErrors[0].first, 1u);
+  EXPECT_EQ(lineErrors[0].second, "line longer than the 16777216-byte request line limit");
+  EXPECT_EQ(requestLines, std::vector<std::size_t>{2});
+  EXPECT_EQ(errors.value() - errorsBefore, 1u);
 }
 
 // ---------------------------------------------------------------------------

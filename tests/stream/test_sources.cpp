@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "pipesched/io/format.hpp"
-#include "pipesched/io/json_reader.hpp"
+#include "pipesched/oracles/json_reader.hpp"
 #include "pipesched/service/fingerprint.hpp"
 #include "pipesched/stream/sink.hpp"
 #include "pipesched/stream/source.hpp"
