@@ -1,5 +1,5 @@
 // Service throughput bench: solves a generated multi-regime batch through
-// SchedulingService at several pool sizes, then measures the cache-hit
+// SchedulingService at several thread counts, then measures the cache-hit
 // speedup of a warm re-run. Emits both a human summary and the
 // machine-readable BENCH_service.json tracking the perf trajectory:
 //
@@ -468,15 +468,14 @@ int main(int argc, char** argv) {
   for (service::Request& r : narrowBatch) r.sweep = service::SweepSpec{narrowPoints, 3};
   for (service::Request& r : wideBatch2) r.sweep = service::SweepSpec{widePoints, 3};
 
-  service::ServiceConfig coldSweepConfig;
-  coldSweepConfig.threads = 1;
-  coldSweepConfig.cacheCapacity = 0;
-  coldSweepConfig.shareSubResults = false;
+  service::ServiceConfig warmSweepConfig;
+  warmSweepConfig.threads = 1;
+  warmSweepConfig.cacheCapacity = 0;
+  service::ServiceConfig coldSweepConfig = warmSweepConfig;
+  coldSweepConfig.subCacheCapacity = 0;  // no sub-result sharing
   service::SchedulingService coldSweepSvc(coldSweepConfig);
   const service::BatchResult coldWide = coldSweepSvc.solveBatch(wideBatch2);
 
-  service::ServiceConfig warmSweepConfig = coldSweepConfig;
-  warmSweepConfig.shareSubResults = true;
   service::SchedulingService warmSweepSvc(warmSweepConfig);
   (void)warmSweepSvc.solveBatch(narrowBatch);  // populate the sub-result cache
   const service::BatchResult warmWide = warmSweepSvc.solveBatch(wideBatch2);

@@ -1,7 +1,9 @@
 // Demo of the portfolio scheduling service: batch-solve the named scenarios
 // plus a generated E2 suite, then show what the cache buys on a repeat.
+#include <algorithm>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "pipesched/service/service.hpp"
 #include "pipesched/workload/generator.hpp"
@@ -31,7 +33,7 @@ int main() {
   }
 
   service::ServiceConfig config;
-  config.threads = service::ThreadPool::defaultThreadCount();
+  config.threads = std::max(1u, std::thread::hardware_concurrency());
   service::SchedulingService svc(config);
 
   const service::BatchResult batch = svc.solveBatch(requests);
@@ -40,7 +42,7 @@ int main() {
             << " threads)\n\n";
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const service::RequestOutcome& outcome = batch.outcomes[i];
-    std::cout << requests[i].name << " [" << service::fingerprint(requests[i]).hex().substr(0, 12)
+    std::cout << requests[i].name << " [" << outcome.fingerprint.hex().substr(0, 12)
               << "]: ";
     if (!outcome.ok) {
       std::cout << "error: " << outcome.error << "\n";

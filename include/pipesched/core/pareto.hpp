@@ -45,7 +45,7 @@ class ParetoFrontBuilder {
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
 
  private:
-  std::vector<ParetoPoint> points_;  // kept non-dominated at all times
+  std::vector<ParetoPoint> points_;  // non-dominated, sorted by increasing period
 };
 
 }  // namespace pipesched::core

@@ -10,8 +10,6 @@
 
 #include "pipesched/core/evaluation.hpp"
 #include "pipesched/core/mapping.hpp"
-#include "pipesched/core/pipeline.hpp"
-#include "pipesched/core/platform.hpp"
 
 namespace pipesched::io {
 
@@ -57,9 +55,6 @@ class JsonWriter {
     key(name);
     return value(v);
   }
-
-  /// Convenience: key + numeric array.
-  JsonWriter& kvArray(const std::string& name, const std::vector<double>& values);
 
   /// True once the single top-level value is complete.
   [[nodiscard]] bool complete() const noexcept;
@@ -116,11 +111,6 @@ class StringOutStream final : public std::ostream {
  private:
   StringOutBuf buf_;
 };
-
-/// {"name": ..., "pipeline": {...}, "platform": {...}}
-void writeInstanceJson(std::ostream& out, const core::Pipeline& pipeline,
-                       const core::Platform& platform, const std::string& name = "",
-                       bool pretty = true);
 
 /// {"stages": n, "intervals": [{"first":..,"last":..,"processor":..}, ...],
 ///  "metrics": {"period":..,"latency":..}}  (metrics omitted when null)

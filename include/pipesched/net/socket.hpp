@@ -125,19 +125,6 @@ class TcpListener {
 /// indefinitely. The returned socket is in blocking mode either way.
 [[nodiscard]] Socket connectTcp(const Endpoint& endpoint, int timeoutMs = -1);
 
-/// Bounded retry with jittered exponential backoff for transient connect
-/// failures (refused/reset/timed out/unreachable — the peer may be mid-
-/// restart). Non-transient errors (e.g. unresolvable host) throw on first
-/// sight; exhausting `attempts` rethrows the last transient error.
-struct RetryPolicy {
-  int attempts = 3;        ///< total tries, >= 1
-  int baseDelayMs = 10;    ///< first backoff step (doubled per retry)
-  int maxDelayMs = 200;    ///< backoff ceiling
-  std::uint64_t seed = 1;  ///< jitter stream seed (deterministic per policy)
-};
-[[nodiscard]] Socket connectTcpRetry(const Endpoint& endpoint, const RetryPolicy& policy,
-                                     int timeoutMs = -1);
-
 /// Self-pipe: poll()-able read end plus an async-signal-safe notify().
 /// notify() is a single write(2) of one byte on a non-blocking fd, so it is
 /// safe from signal handlers and arbitrary threads; a full pipe simply

@@ -1,17 +1,18 @@
 // Instance canonicalization + fingerprinting (service dedupe/cache keys).
 //
-// Two keys are derived from a Request:
+// requestIdentity() derives both identities of a Request from one walk over
+// every model-relevant field:
 //
-//   * canonicalKey() — an exact, human-auditable text rendering of every
-//     model-relevant field (hexfloat precision, so distinct doubles never
-//     collide). Used as the collision-free cache/dedupe key.
-//   * fingerprint() — a 128-bit hash of the same canonical content, used to
-//     pick cache shards and as a compact identity in logs and reports.
+//   * key — an exact, human-auditable text rendering (hexfloat precision, so
+//     distinct doubles never collide). Used as the collision-free
+//     cache/dedupe key.
+//   * fp — a 128-bit hash of the same canonical content, used to pick cache
+//     shards and as a compact identity in logs and reports.
 //
-// The display name is deliberately excluded from both (see request.hpp).
+// instanceFingerprint() hashes the sweep-independent part alone. The display
+// name is deliberately excluded from both (see request.hpp).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "pipesched/service/request.hpp"
@@ -21,15 +22,7 @@ namespace pipesched::service {
 // struct Fingerprint lives in request.hpp (outcomes carry one); the
 // functions that produce it live here.
 
-/// Exact canonical text form of the request's model content.
-[[nodiscard]] std::string canonicalKey(const Request& request);
-
-/// Hash of canonicalKey()'s content (streamed, not via the string).
-[[nodiscard]] Fingerprint fingerprint(const Request& request);
-
-/// Both identities of one request. Produced by a single field walk — the
-/// hot paths (async workers, batch grouping) need the pair and should not
-/// serialize the instance twice.
+/// Both identities of one request, produced by a single field walk.
 struct RequestIdentity {
   Fingerprint fp;
   std::string key;
@@ -40,11 +33,9 @@ struct RequestIdentity {
 /// Sweep-independent identity of the request's *instance* (pipeline +
 /// platform + communication model, excluding the sweep spec and the display
 /// name). Two requests that sweep the same instance with different grids
-/// share this identity — it keys the cross-request sub-result cache, where
+/// share it — it keys the cross-request sub-result cache, where
 /// per-threshold solves are valid for every sweep of the instance.
-[[nodiscard]] std::string instanceKey(const Request& request);
 [[nodiscard]] Fingerprint instanceFingerprint(const Request& request);
-[[nodiscard]] RequestIdentity instanceIdentity(const Request& request);
 
 /// Exact hexfloat rendering used by the canonical form (and by
 /// describeOutcome, which must stay bit-faithful to it).

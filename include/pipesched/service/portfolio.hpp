@@ -96,7 +96,7 @@ struct PortfolioConfig {
 // Cross-request sub-result sharing.
 //
 // The sub-result cache memoizes the portfolio's *work units* under the
-// sweep-independent instance identity (instanceIdentity in fingerprint.hpp):
+// sweep-independent instance identity (instanceFingerprint in fingerprint.hpp):
 // a (member, threshold) solve is the same computation whichever sweep spec
 // dispatched it, so a new sweep over a seen instance only solves the
 // thresholds it has not met. Three payload kinds share one value type:
@@ -250,7 +250,7 @@ struct PortfolioMemberInfo {
 
 /// Runs the portfolio on one instance: every accepted member in slot order on
 /// the calling thread, then the deterministic merge. Parallelism lives one
-/// level up, across requests (solveBatch's pool, the stream workers). With
+/// level up, across requests (solveBatch's threads, the stream workers). With
 /// `share`, work units are memoized/reused through the sub-result cache (see
 /// SubShare above — results are byte-identical with or without it). Throws
 /// ModelError on an invalid sweep spec or an unknown member id.

@@ -108,7 +108,7 @@ struct Request {
   /// QoS-only: excluded from the fingerprint and canonical renderings; an
   /// expired deadline turns the outcome into a flagged timeout or a
   /// `degraded` partial front, never a silent truncation.
-  Deadline deadline;
+  Deadline deadline{};
 
   /// 1-based line of the JSONL stream this request was parsed from (0 when
   /// it came from elsewhere). Display-only, like `name`: it lets an outcome

@@ -8,10 +8,11 @@
 // cache lookup, then on a miss a portfolio run on the calling thread
 // (members in fixed slot order), store, trace, count. solve() runs it for one
 // request. solveBatch() groups identical requests by fingerprint, looks each
-// *unique* request up on the calling thread, solves each unique miss as one
-// task on the service's pool, stores the misses in input order, and fans
-// each outcome out to its duplicate slots — byte-identical to solving each
-// request serially, whatever the thread count.
+// *unique* request up on the calling thread, solves the unique misses on the
+// calling thread plus the threads it starts for that call, stores the misses
+// in input order, and fans each outcome out to its duplicate slots —
+// byte-identical to solving each request serially, whatever the thread
+// count. The service owns no thread between calls.
 #pragma once
 
 #include <cstddef>
@@ -24,32 +25,27 @@
 #include "pipesched/service/portfolio.hpp"
 #include "pipesched/service/request.hpp"
 #include "pipesched/service/result_cache.hpp"
-#include "pipesched/service/thread_pool.hpp"
 
 namespace pipesched::service {
 
 struct ServiceConfig {
-  /// Pool size for solveBatch's cross-request fan-out; 0 = run the batch
-  /// inline (the serial reference mode). solve() never uses the pool.
+  /// Threads solving solveBatch's unique misses: the calling thread plus
+  /// threads − 1 started per call; 0 and 1 solve on the caller (the serial
+  /// reference mode). solve() always runs on its caller.
   std::size_t threads = 0;
 
-  /// Result-cache entries (0 disables caching) and shard count.
+  /// Result-cache entries; 0 disables caching.
   std::size_t cacheCapacity = 1024;
-  std::size_t cacheShards = 8;
 
-  /// Cross-request sub-result sharing: memoize per-threshold work units and
-  /// warm-start seeds under the sweep-independent instance identity, so a
-  /// new sweep over a seen instance only solves the thresholds it has not
-  /// met. Fronts are byte-identical with sharing on or off (see the
+  /// Cross-request sub-result sharing: up to this many per-threshold work
+  /// units and warm-start seeds (much smaller than whole results) memoized
+  /// under the sweep-independent instance identity, so a new sweep over a
+  /// seen instance only solves the thresholds it has not met. 0 turns
+  /// sharing off. Fronts are byte-identical with sharing on or off (see the
   /// determinism guarantee in portfolio.hpp; like every reproducibility
   /// property here it presumes no wall-clock budget) — only the work
   /// changes.
-  bool shareSubResults = true;
-
-  /// Sub-result cache entries (work units, much smaller than whole results)
-  /// and shard count. 0 also disables sharing.
   std::size_t subCacheCapacity = 32768;
-  std::size_t subCacheShards = 8;
 
   PortfolioConfig portfolio;
 };
@@ -101,8 +97,8 @@ struct BatchStats {
   double requestsPerSecond = 0;
   /// Cross-request work sharing over the fresh solves: sub-result cache hits
   /// (whole units + warm-start seeds) and the whole-unit subset. How much is
-  /// shared depends on cache state and, under a pool, timing — the *results*
-  /// never do.
+  /// shared depends on cache state and, with threads > 1, timing — the
+  /// *results* never do.
   std::uint64_t subHits = 0;
   std::uint64_t subUnitsReused = 0;
   std::vector<MemberBatchStats> members;  ///< per-member totals (fresh solves)
@@ -151,7 +147,7 @@ class SchedulingService {
   [[nodiscard]] CacheStats cacheStats() const { return cache_.stats(); }
 
   /// Counters of the instance-keyed sub-result cache (cross-request work
-  /// sharing); all zero when ServiceConfig::shareSubResults is off.
+  /// sharing); all zero when ServiceConfig::subCacheCapacity is 0.
   [[nodiscard]] CacheStats subCacheStats() const { return subCache_.stats(); }
 
   void clearCache() {
@@ -173,7 +169,6 @@ class SchedulingService {
   ServiceConfig config_;
   ResultCache cache_;
   SubResultCache subCache_;
-  ThreadPool pool_;
 };
 
 /// Canonical text rendering of an outcome (hexfloat metrics + mappings) —

@@ -19,9 +19,7 @@
 // describeOutcome() excludes, depend on timing.
 //
 // Parallelism shape mirrors solveBatch: cross-request concurrency comes from
-// `workers`; within-request solving runs serially inside its worker
-// (config.service.threads sizes only solveBatch's pool, which the scheduler
-// never calls — leave it at 0).
+// `workers`; within-request solving runs serially inside its worker.
 //
 // Lifecycle: drain() blocks until everything submitted has completed;
 // close() additionally stops admission and joins the workers (pending work
@@ -49,7 +47,7 @@ namespace pipesched::stream {
 
 struct StreamConfig {
   /// Configuration of the wrapped SchedulingService (cache, portfolio).
-  /// service.threads is unused here; keep it 0 (see above).
+  /// service.threads is unused here: the scheduler never calls solveBatch.
   service::ServiceConfig service;
 
   /// Consumer threads draining the request channel. 0 = inline execution:
@@ -128,7 +126,8 @@ class AsyncScheduler {
   [[nodiscard]] const StreamConfig& config() const noexcept { return config_; }
 
   /// Enqueues the request (blocking while the channel is full) and returns
-  /// the future of its outcome. The future never carries an exception from
+  /// the future of its outcome: the callback form below, with a callback
+  /// that fulfils a promise. The future never carries an exception from
   /// solving — solver failures surface as outcomes with ok == false.
   /// Throws ModelError after close().
   [[nodiscard]] std::future<service::RequestOutcome> submit(service::Request request);
@@ -178,8 +177,7 @@ class AsyncScheduler {
     /// submit — the producer thread must not serialize the walk): .key is
     /// the coalescing identity, both halves go to the service so nothing
     /// downstream re-canonicalizes.
-    service::RequestIdentity identity;
-    std::promise<service::RequestOutcome> promise;
+    service::RequestIdentity identity{};
     Callback callback;
     /// Enqueue timestamp for the queue-wait stage; stamped at admission only
     /// while observability is on and there is a queue (`timed`), so the
@@ -217,7 +215,7 @@ class AsyncScheduler {
   bool accepting_ = true;
   std::mutex joinMutex_;  // serializes worker join in close()
   bool joined_ = false;   // guarded by joinMutex_
-  /// canonicalKey -> duplicates parked while the key's first job solves.
+  /// Request key -> duplicates parked while the key's first job solves.
   std::unordered_map<std::string, std::vector<Job>> inflight_;
 
   std::vector<std::thread> workers_;

@@ -1,5 +1,6 @@
 // Bounded multi-producer/multi-consumer channel — the backpressure seam of
-// the streaming engine.
+// the streaming engine, and the inter-stage token buffer of the skeleton
+// executor (runtime/executor.hpp).
 //
 // Producers block in push() while the channel is full (each blocked episode
 // is counted: ChannelStats::pushWaits is the engine's backpressure signal);
@@ -8,11 +9,9 @@
 // and then return nullopt. All operations are safe to call from any number
 // of threads concurrently.
 //
-// Distinct from runtime::BoundedQueue (the skeleton executor's inter-stage
-// token buffer): this channel is public streaming API — it never throws on
-// the close race (a server shutting down must not turn in-flight submits
-// into crashes), supports non-blocking try variants, and keeps the
-// occupancy/wait counters the stream benchmarks and tests observe.
+// It never throws on the close race (a server shutting down must not turn
+// in-flight submits into crashes), supports non-blocking try variants, and
+// keeps the occupancy/wait counters the stream benchmarks and tests observe.
 #pragma once
 
 #include <condition_variable>

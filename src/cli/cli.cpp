@@ -1,8 +1,10 @@
 #include "pipesched/cli/cli.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <thread>
 
 #include "cli_internal.hpp"
 
@@ -87,10 +89,11 @@ service::ServiceConfig serviceConfigFromArgs(const ArgList& args) {
   service::ServiceConfig config;
   // Read --threads unconditionally so --serial --threads N is accepted (and
   // --serial wins), identically in every command using this helper.
-  config.threads = args.getSize("threads", service::ThreadPool::defaultThreadCount());
+  config.threads = args.getSize(
+      "threads", std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   if (args.has("serial")) config.threads = 0;
   config.cacheCapacity = args.has("no-cache") ? 0 : args.getSize("cache-capacity", 1024);
-  config.shareSubResults = parseOnOff(args, "share-subresults", true);
+  if (!parseOnOff(args, "share-subresults", true)) config.subCacheCapacity = 0;
   config.portfolio.useExact = !args.has("no-exact");
   config.portfolio.budget.maxRunsPerSolver = args.getU64("budget", UINT64_MAX);
   config.portfolio.budget.timeBudgetMs = args.getReal("time-budget", 0);
@@ -99,6 +102,22 @@ service::ServiceConfig serviceConfigFromArgs(const ArgList& args) {
   }
   config.portfolio.dropAfter = args.getSize("drop-after", 0);
   return config;
+}
+
+stream::JsonlDefaults jsonlDefaultsFromArgs(const ArgList& args) {
+  stream::JsonlDefaults defaults;
+  defaults.sweep = service::SweepSpec{args.getSize("points", 24), args.getReal("range", 3)};
+  defaults.model =
+      args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
+  return defaults;
+}
+
+std::unique_ptr<std::ofstream> openStatsOutput(const ArgList& args) {
+  const auto path = args.get("stats-output");
+  if (!path) return nullptr;
+  auto file = std::make_unique<std::ofstream>(*path);
+  if (!*file) throw std::runtime_error("cannot open stats output: " + *path);
+  return file;
 }
 
 std::vector<std::string> parsePortfolioMembers(const std::string& spec) {

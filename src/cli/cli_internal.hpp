@@ -1,6 +1,7 @@
 // Private helpers shared by the pipesched CLI command implementations.
 #pragma once
 
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "pipesched/io/format.hpp"
 #include "pipesched/io/json.hpp"
 #include "pipesched/service/service.hpp"
+#include "pipesched/stream/source.hpp"
 #include "pipesched/workload/generator.hpp"
 
 namespace pipesched::cli::detail {
@@ -48,6 +50,15 @@ void writeToFileOr(const ArgList& args, const std::string& name, std::ostream& f
 /// commands cannot drift): --threads/--serial, --cache-capacity/--no-cache,
 /// --no-exact, --budget, --time-budget.
 [[nodiscard]] service::ServiceConfig serviceConfigFromArgs(const ArgList& args);
+
+/// The JSONL defaults shared by `batch`, `serve` and `stats` (one reader of
+/// --points, --range and --overlap); every request source takes its sweep
+/// and communication model from here. No deadline: `serve` adds its own.
+[[nodiscard]] stream::JsonlDefaults jsonlDefaultsFromArgs(const ArgList& args);
+
+/// Opens --stats-output FILE for the serve transports' snapshot lines; null
+/// when the option is absent (the lines then go to stderr).
+[[nodiscard]] std::unique_ptr<std::ofstream> openStatsOutput(const ArgList& args);
 
 /// "default" -> {} (the service default), "all" -> the full catalog, else a
 /// comma list of member ids. Validates against the registry: an unknown id

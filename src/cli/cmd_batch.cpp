@@ -1,6 +1,6 @@
 // `batch` — the portfolio scheduling service on the command line: solve many
 // instances (files, directories, JSONL request files, named scenarios,
-// generated suites) through the shared thread pool + result cache.
+// generated suites) through the service's threads + result cache.
 //
 // Two execution shapes behind one set of sources:
 //   * default — solveBatch: requests drained from the lazy Source into one
@@ -29,23 +29,20 @@ namespace {
 /// command supports, chained into one lazy Source. Callable once per pass
 /// (--repeat re-reads files so later passes exercise the cache, not a copy).
 std::unique_ptr<stream::Source> buildSource(const ArgList& args) {
-  const service::SweepSpec sweep{args.getSize("points", 24), args.getReal("range", 3)};
-  const core::CommModel model =
-      args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
+  const stream::JsonlDefaults defaults = jsonlDefaultsFromArgs(args);
 
   std::vector<std::unique_ptr<stream::Source>> parts;
   if (!args.positionals().empty()) {
     parts.push_back(std::make_unique<stream::FileListSource>(
-        stream::expandInstancePaths(args.positionals()), sweep, model));
+        stream::expandInstancePaths(args.positionals()), defaults.sweep, defaults.model));
   }
   if (const auto jsonl = args.get("requests")) {
     auto file = std::make_unique<std::ifstream>(*jsonl);
     if (!*file) throw std::runtime_error("cannot open request file: " + *jsonl);
-    parts.push_back(std::make_unique<stream::JsonlSource>(
-        std::move(file), stream::JsonlDefaults{sweep, model}));
+    parts.push_back(std::make_unique<stream::JsonlSource>(std::move(file), defaults));
   }
   if (args.has("scenarios")) {
-    parts.push_back(std::make_unique<stream::ScenarioSource>(sweep, model));
+    parts.push_back(std::make_unique<stream::ScenarioSource>(defaults.sweep, defaults.model));
   }
   if (const auto kindSpec = args.get("kind")) {
     stream::GeneratorSource::Spec spec;
@@ -54,8 +51,8 @@ std::unique_ptr<stream::Source> buildSource(const ArgList& args) {
     spec.stages = args.getSize("stages", 10);
     spec.processors = args.getSize("processors", 10);
     spec.seed = args.getU64("seed", 20070628);
-    spec.sweep = sweep;
-    spec.model = model;
+    spec.sweep = defaults.sweep;
+    spec.model = defaults.model;
     parts.push_back(std::make_unique<stream::GeneratorSource>(spec));
   } else if (args.has("count")) {
     throw UsageError("--count needs --kind E1..E4");
@@ -189,7 +186,6 @@ int runStreamMode(const ArgList& args, std::ostream& out, std::size_t threads,
                   std::size_t repeat, const service::ServiceConfig& serviceConfig) {
   stream::StreamConfig config;
   config.service = serviceConfig;
-  config.service.threads = 0;  // workers are the parallelism; no batch pool
   config.workers = threads;
   config.queueCapacity = args.getSize("queue-capacity", 64);
 

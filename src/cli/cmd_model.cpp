@@ -2,6 +2,7 @@
 // evaluation.
 #include <algorithm>
 #include <ostream>
+#include <sstream>
 
 #include "cli_internal.hpp"
 #include "pipesched/exp/report.hpp"
@@ -220,9 +221,14 @@ int cmdEval(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
   for (std::size_t j = 0; j < mapping.intervalCount(); ++j) {
     const core::CycleBreakdown b = eval.breakdown(mapping, j);
     const core::Interval iv = mapping.interval(j);
+    // Streamed, not `"[" + std::to_string(...)`: g++ 12 reports a false
+    // -Wrestrict on that concatenation at -O3.
+    std::ostringstream stages, processor;
+    stages << '[' << iv.first << ',' << iv.last << ']';
+    processor << 'P' << mapping.processor(j);
     table.addRow({std::to_string(j) + (j == metrics.bottleneckInterval ? " *" : ""),
-                  "[" + std::to_string(iv.first) + "," + std::to_string(iv.last) + "]",
-                  "P" + std::to_string(mapping.processor(j)), exp::formatReal(b.input, 4),
+                  std::move(stages).str(), std::move(processor).str(),
+                  exp::formatReal(b.input, 4),
                   exp::formatReal(b.compute, 4), exp::formatReal(b.output, 4),
                   exp::formatReal(overlap ? b.overlapped() : b.sequential(), 4)});
   }

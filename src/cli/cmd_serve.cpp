@@ -199,30 +199,20 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
   const bool metricsOn = parseOnOff(args, "metrics", traceOn || statsInterval > 0);
   obs::ScopedTracingEnabled tracingScope(traceOn || obs::tracingEnabled());
   obs::ScopedMetricsEnabled metricsScope(metricsOn || obs::metricsEnabled());
-  std::unique_ptr<std::ofstream> statsFile;
-  std::ostream* statsStream = &err;
-  if (const auto path = args.get("stats-output")) {
-    statsFile = std::make_unique<std::ofstream>(*path);
-    if (!*statsFile) throw std::runtime_error("cannot open stats output: " + *path);
-    statsStream = statsFile.get();
-  }
+  const std::unique_ptr<std::ofstream> statsFile = openStatsOutput(args);
+  std::ostream& statsStream = statsFile ? *statsFile : err;
   // Snapshot emission is configured when either knob is present. A
   // --stats-output file with no interval still gets its terminal snapshot —
   // previously that combination produced a 0-byte file because the final
   // emit was guarded on the interval alone.
   const bool wantStats = statsInterval > 0 || statsFile != nullptr;
 
-  stream::JsonlDefaults defaults;
-  defaults.sweep =
-      service::SweepSpec{args.getSize("points", 24), args.getReal("range", 3)};
-  defaults.model =
-      args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
+  stream::JsonlDefaults defaults = jsonlDefaultsFromArgs(args);
   defaults.deadlineMs = deadlineDefaultFromArgs(args);
 
   stream::StreamConfig config;
   config.service = serviceConfigFromArgs(args);
-  config.workers = config.service.threads;  // --threads sizes the workers;
-  config.service.threads = 0;               // the batch pool stays unstarted
+  config.workers = config.service.threads;  // --threads sizes the workers
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   std::unique_ptr<std::ifstream> file;
@@ -275,7 +265,7 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
   // Snapshot lines share a guarded whole-line writer so they can never
   // interleave mid-line — but note they go to stderr (or the --stats-output
   // file), never into the stdout outcome stream.
-  stream::JsonlLineWriter statsWriter(*statsStream);
+  stream::JsonlLineWriter statsWriter(statsStream);
   const auto startedAt = std::chrono::steady_clock::now();
   std::size_t statsSequence = 0;
   const auto emitSnapshot = [&] {
@@ -328,29 +318,18 @@ int serveListen(const ArgList& args, const std::string& listenSpec, std::ostream
     obs::preregisterStandardMetrics();
   }
 
-  std::unique_ptr<std::ofstream> statsFile;
-  std::ostream* statsStream = &err;
-  if (const auto path = args.get("stats-output")) {
-    statsFile = std::make_unique<std::ofstream>(*path);
-    if (!*statsFile) throw std::runtime_error("cannot open stats output: " + *path);
-    statsStream = statsFile.get();
-  }
+  const std::unique_ptr<std::ofstream> statsFile = openStatsOutput(args);
+  std::ostream& statsStream = statsFile ? *statsFile : err;
   const bool wantStats = statsInterval > 0 || statsFile != nullptr;
 
-  stream::JsonlDefaults defaults;
-  defaults.sweep =
-      service::SweepSpec{args.getSize("points", 24), args.getReal("range", 3)};
-  defaults.model =
-      args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
+  stream::JsonlDefaults defaults = jsonlDefaultsFromArgs(args);
   defaults.deadlineMs = deadlineDefaultFromArgs(args);
 
   stream::StreamConfig config;
   config.service = serviceConfigFromArgs(args);
   // Solves must run off the event loop: at least one worker even under
-  // --serial (within-request solving stays serial either way). The service's
-  // batch pool is never used here, so it starts no threads.
+  // --serial (within-request solving stays serial either way).
   config.workers = std::max<std::size_t>(1, config.service.threads);
-  config.service.threads = 0;
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   net::HttpServerConfig serverConfig;
@@ -367,7 +346,7 @@ int serveListen(const ArgList& args, const std::string& listenSpec, std::ostream
   stream::AsyncScheduler scheduler(config);
   net::HttpServer server(serverConfig);
 
-  stream::JsonlLineWriter statsWriter(*statsStream);
+  stream::JsonlLineWriter statsWriter(statsStream);
   const auto startedAt = std::chrono::steady_clock::now();
   const auto uptimeSeconds = [startedAt] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - startedAt)

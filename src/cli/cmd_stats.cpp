@@ -39,11 +39,7 @@ int cmdStats(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
   service::CacheStats sub;
   if (const auto path = args.get("input")) {
     const service::ServiceConfig config = serviceConfigFromArgs(args);
-    stream::JsonlDefaults defaults;
-    defaults.sweep =
-        service::SweepSpec{args.getSize("points", 24), args.getReal("range", 3)};
-    defaults.model =
-        args.has("overlap") ? core::CommModel::kOverlapped : core::CommModel::kSequential;
+    const stream::JsonlDefaults defaults = jsonlDefaultsFromArgs(args);
     auto file = std::make_unique<std::ifstream>(*path);
     if (!*file) throw std::runtime_error("cannot open input: " + *path);
     stream::JsonlSource source(std::move(file), defaults);

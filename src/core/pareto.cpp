@@ -26,15 +26,15 @@ bool ParetoFrontBuilder::offer(ParetoPoint point) {
     }
   }
   std::erase_if(points_, [&](const ParetoPoint& existing) { return dominates(point, existing); });
-  points_.push_back(std::move(point));
+  // Insert in (period, latency) order; front points never tie on both.
+  const auto at = std::upper_bound(
+      points_.begin(), points_.end(), point, [](const ParetoPoint& a, const ParetoPoint& b) {
+        return a.period < b.period || (a.period == b.period && a.latency < b.latency);
+      });
+  points_.insert(at, std::move(point));
   return true;
 }
 
-std::vector<ParetoPoint> ParetoFrontBuilder::take() {
-  std::sort(points_.begin(), points_.end(), [](const ParetoPoint& a, const ParetoPoint& b) {
-    return a.period < b.period || (a.period == b.period && a.latency < b.latency);
-  });
-  return std::move(points_);
-}
+std::vector<ParetoPoint> ParetoFrontBuilder::take() { return std::move(points_); }
 
 }  // namespace pipesched::core

@@ -165,51 +165,6 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-JsonWriter& JsonWriter::kvArray(const std::string& name, const std::vector<double>& values) {
-  key(name);
-  beginArray();
-  for (const double v : values) value(v);
-  return endArray();
-}
-
-void writeInstanceJson(std::ostream& out, const core::Pipeline& pipeline,
-                       const core::Platform& platform, const std::string& name, bool pretty) {
-  JsonWriter w(out, pretty);
-  w.beginObject();
-  if (!name.empty()) w.kv("name", name);
-  w.key("pipeline").beginObject();
-  w.kv("stages", pipeline.stageCount());
-  w.kvArray("work", pipeline.works());
-  w.kvArray("comm", pipeline.comms());
-  w.endObject();
-  w.key("platform").beginObject();
-  w.kv("processors", platform.processorCount());
-  w.kvArray("speeds", platform.speeds());
-  w.kv("commHomogeneous", platform.isCommHomogeneous());
-  if (platform.isCommHomogeneous()) {
-    w.kv("bandwidth", platform.bandwidth());
-  } else {
-    const std::size_t p = platform.processorCount();
-    w.key("links").beginArray();
-    for (std::size_t u = 0; u < p; ++u) {
-      w.beginArray();
-      for (std::size_t v = 0; v < p; ++v) w.value(u == v ? 0.0 : platform.bandwidth(u, v));
-      w.endArray();
-    }
-    w.endArray();
-    std::vector<double> in(p), outBw(p);
-    for (std::size_t u = 0; u < p; ++u) {
-      in[u] = platform.inputBandwidth(u);
-      outBw[u] = platform.outputBandwidth(u);
-    }
-    w.kvArray("inputBandwidth", in);
-    w.kvArray("outputBandwidth", outBw);
-  }
-  w.endObject();
-  w.endObject();
-  out << '\n';
-}
-
 void writeMappingJson(std::ostream& out, const core::IntervalMapping& mapping,
                       const core::Metrics* metrics, bool pretty) {
   JsonWriter w(out, pretty);

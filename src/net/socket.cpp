@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "pipesched/fault/fault.hpp"
 
@@ -21,13 +20,10 @@ namespace pipesched::net {
 namespace {
 
 [[noreturn]] void throwErrno(const std::string& what) {
-  // Snapshot errno before the message construction (which may allocate) and
-  // restore it on the way out: connectTcpRetry classifies the caught error
-  // by errno, which must still name the failing call.
+  // Snapshot errno before the message construction, which may allocate and
+  // overwrite it.
   const int err = errno;
-  std::string message = "net: " + what + ": " + std::strerror(err);
-  errno = err;
-  throw ModelError(std::move(message));
+  throw ModelError("net: " + what + ": " + std::strerror(err));
 }
 
 sockaddr_in resolveIpv4(const Endpoint& endpoint) {
@@ -247,35 +243,6 @@ Socket connectTcp(const Endpoint& endpoint, int timeoutMs) {
   const int one = 1;
   (void)::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return sock;
-}
-
-Socket connectTcpRetry(const Endpoint& endpoint, const RetryPolicy& policy, int timeoutMs) {
-  // Transient = the peer might exist shortly (mid-restart, listen backlog
-  // overflow, kernel resource blip). Everything else fails fast.
-  const auto transient = [](int err) {
-    return err == ECONNREFUSED || err == ECONNRESET || err == ETIMEDOUT ||
-           err == EHOSTUNREACH || err == ENETUNREACH || err == EAGAIN || err == ENOBUFS;
-  };
-  std::uint64_t jitter = policy.seed;
-  const int attempts = policy.attempts < 1 ? 1 : policy.attempts;
-  int delayMs = policy.baseDelayMs;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return connectTcp(endpoint, timeoutMs);
-    } catch (const ModelError&) {
-      // throwErrno restored errno to the failing call's code.
-      if (attempt >= attempts || !transient(errno)) throw;
-    }
-    // Jittered backoff: uniform in [delay/2, delay], then double up to the
-    // cap — retries from many clients de-synchronize instead of thundering.
-    jitter = jitter * 6364136223846793005ULL + 1442695040888963407ULL;
-    const int capped = delayMs > policy.maxDelayMs ? policy.maxDelayMs : delayMs;
-    const int lower = capped / 2;
-    const int sleepMs =
-        capped <= 0 ? 0 : lower + static_cast<int>(jitter % static_cast<std::uint64_t>(capped - lower + 1));
-    if (sleepMs > 0) std::this_thread::sleep_for(std::chrono::milliseconds(sleepMs));
-    if (delayMs <= policy.maxDelayMs) delayMs *= 2;
-  }
 }
 
 WakePipe::WakePipe() {

@@ -97,32 +97,6 @@ struct HashSink {
   }
 };
 
-}  // namespace
-
-// Exact round-trippable rendering; hexfloat so distinct doubles never
-// collapse to one decimal representation.
-std::string renderRealHex(Real v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-std::string Fingerprint::hex() const { return core::hashHex(hi) + core::hashHex(lo); }
-
-std::string canonicalKey(const Request& request) {
-  TextSink sink;
-  walkRequest(request, sink);
-  return std::move(sink.os).str();
-}
-
-Fingerprint fingerprint(const Request& request) {
-  HashSink sink;
-  walkRequest(request, sink);
-  return Fingerprint{sink.hi.digest(), sink.lo.digest()};
-}
-
-namespace {
-
 /// Feeds one walk into both sinks — requestIdentity()'s single pass.
 struct DualSink {
   TextSink text;
@@ -143,6 +117,16 @@ struct DualSink {
 
 }  // namespace
 
+// Exact round-trippable rendering; hexfloat so distinct doubles never
+// collapse to one decimal representation.
+std::string renderRealHex(Real v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string Fingerprint::hex() const { return core::hashHex(hi) + core::hashHex(lo); }
+
 RequestIdentity requestIdentity(const Request& request) {
   DualSink sink;
   walkRequest(request, sink);
@@ -150,23 +134,10 @@ RequestIdentity requestIdentity(const Request& request) {
                          std::move(sink.text.os).str()};
 }
 
-std::string instanceKey(const Request& request) {
-  TextSink sink;
-  walkInstanceOnly(request, sink);
-  return std::move(sink.os).str();
-}
-
 Fingerprint instanceFingerprint(const Request& request) {
   HashSink sink;
   walkInstanceOnly(request, sink);
   return Fingerprint{sink.hi.digest(), sink.lo.digest()};
-}
-
-RequestIdentity instanceIdentity(const Request& request) {
-  DualSink sink;
-  walkInstanceOnly(request, sink);
-  return RequestIdentity{Fingerprint{sink.hash.hi.digest(), sink.hash.lo.digest()},
-                         std::move(sink.text.os).str()};
 }
 
 }  // namespace pipesched::service

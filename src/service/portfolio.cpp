@@ -33,6 +33,19 @@ struct Slot {
   bool deadlineCut = false;
 };
 
+/// A member tag: `prefix` plus the 1-based number of heuristic `h` ("H3",
+/// "ls:H3", "grid:H3"). Appends instead of `const char* + std::string&&`,
+/// which g++ 12 reports as a false -Wrestrict at -O3.
+std::string tag(const char* prefix, int h) {
+  std::string out(prefix);
+  out += std::to_string(h);
+  return out;
+}
+
+std::string tag(const char* prefix, heuristics::HeuristicId h) {
+  return tag(prefix, static_cast<int>(h) + 1);
+}
+
 /// Share identity of a sweeping member's unit at threshold `t`: the member
 /// tag plus the exact hexfloat rendering, so distinct doubles never collide
 /// and equal thresholds from different sweep grids always meet.
@@ -46,7 +59,7 @@ std::string sweepUnitKey(const std::string& memberTag, Real t) {
 /// hence memoized under the instance identity when sharing is on.
 Real gridAnchor(const core::Evaluator& eval, const heuristics::MappingHeuristic& h,
                 const SubShare* share, std::size_t& seeded) {
-  const std::string key = "grid:H" + std::to_string(static_cast<int>(h.id()) + 1);
+  const std::string key = tag("grid:H", h.id());
   if (share != nullptr) {
     if (const std::optional<SubResult> memo = share->load(key); memo && memo->scalar) {
       ++seeded;
@@ -95,7 +108,7 @@ class HeuristicMember final : public PortfolioMember {
   explicit HeuristicMember(heuristics::HeuristicId id) : hid_(id) {}
 
   [[nodiscard]] std::string id() const override {
-    return "H" + std::to_string(static_cast<int>(hid_) + 1);
+    return tag("H", hid_);
   }
   [[nodiscard]] std::string solverName() const override {
     return heuristics::makeHeuristic(hid_)->name();
@@ -116,7 +129,7 @@ class HeuristicMember final : public PortfolioMember {
     [[nodiscard]] std::size_t units() const override { return sweep_.points; }
 
     [[nodiscard]] std::string unitKey(std::size_t i) const override {
-      return sweepUnitKey("H" + std::to_string(static_cast<int>(h_->id()) + 1),
+      return sweepUnitKey(tag("H", h_->id()),
                           exp::sweepThreshold(grid_.lo, grid_.hi, sweep_.points, i));
     }
 
@@ -170,8 +183,7 @@ class RefinerMember final : public PortfolioMember {
   RefinerMember(RefinerKind kind, heuristics::HeuristicId base) : kind_(kind), base_(base) {}
 
   [[nodiscard]] std::string id() const override {
-    return (kind_ == RefinerKind::kLocalSearch ? "ls:H" : "sa:H") +
-           std::to_string(static_cast<int>(base_) + 1);
+    return tag(kind_ == RefinerKind::kLocalSearch ? "ls:H" : "sa:H", base_);
   }
   [[nodiscard]] std::string solverName() const override { return id(); }
   [[nodiscard]] bool accepts(const core::Evaluator&, const PortfolioConfig&) const override {
@@ -199,8 +211,9 @@ class RefinerMember final : public PortfolioMember {
       // The annealing refiner's output depends on the move budget; embed it
       // so services configured differently can never alias a unit.
       return kind_ == RefinerKind::kLocalSearch
-                 ? sweepUnitKey(baseTag("ls:H"), t)
-                 : sweepUnitKey(baseTag("sa:H") + ":m" + std::to_string(annealingMoves_), t);
+                 ? sweepUnitKey(tag("ls:H", h_->id()), t)
+                 : sweepUnitKey(
+                       tag("sa:H", h_->id()) + ":m" + std::to_string(annealingMoves_), t);
     }
 
     [[nodiscard]] std::vector<core::ParetoPoint> unit(std::size_t i) override {
@@ -210,7 +223,7 @@ class RefinerMember final : public PortfolioMember {
       // deterministic) or compute and publish it for the other refiners.
       heuristics::Result seed;
       bool haveSeed = false;
-      const std::string baseKey = sweepUnitKey(baseTag("H"), t);
+      const std::string baseKey = sweepUnitKey(tag("H", h_->id()), t);
       if (share_ != nullptr) {
         if (const std::optional<SubResult> memo = share_->load(baseKey);
             memo && memo->seed) {
@@ -259,10 +272,6 @@ class RefinerMember final : public PortfolioMember {
     [[nodiscard]] std::size_t seeded() const override { return seeded_; }
 
    private:
-    [[nodiscard]] std::string baseTag(const char* prefix) const {
-      return prefix + std::to_string(static_cast<int>(h_->id()) + 1);
-    }
-
     RefinerKind kind_;
     std::unique_ptr<heuristics::MappingHeuristic> h_;
     const core::Evaluator& eval_;
@@ -619,9 +628,9 @@ std::vector<std::string> defaultPortfolioMembers() {
 
 std::vector<std::string> allPortfolioMembers() {
   std::vector<std::string> ids;
-  for (int h = 1; h <= 6; ++h) ids.push_back("H" + std::to_string(h));
-  for (int h = 1; h <= 6; ++h) ids.push_back("ls:H" + std::to_string(h));
-  for (int h = 1; h <= 6; ++h) ids.push_back("sa:H" + std::to_string(h));
+  for (int h = 1; h <= 6; ++h) ids.push_back(tag("H", h));
+  for (int h = 1; h <= 6; ++h) ids.push_back(tag("ls:H", h));
+  for (int h = 1; h <= 6; ++h) ids.push_back(tag("sa:H", h));
   ids.emplace_back("c2c");
   ids.emplace_back("c2c:ls");
   ids.emplace_back("exact");

@@ -1,12 +1,14 @@
 #include "pipesched/service/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <future>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -107,9 +109,8 @@ void BatchStats::merge(const BatchStats& other) {
 
 SchedulingService::SchedulingService(ServiceConfig config)
     : config_(config),
-      cache_(config.cacheCapacity, config.cacheShards),
-      subCache_(config.shareSubResults ? config.subCacheCapacity : 0, config.subCacheShards),
-      pool_(config.threads) {}
+      cache_(config.cacheCapacity),
+      subCache_(config.subCacheCapacity) {}
 
 RequestOutcome SchedulingService::solve(const Request& request) {
   std::optional<obs::RequestTrace> trace = openTrace(request);
@@ -179,8 +180,8 @@ RequestOutcome SchedulingService::solveMiss(const Request& request,
     outcome.error = e.what();
   } catch (...) {
     // A non-std exception from a solver must still land in the outcome:
-    // letting it fly through a pool task's future would eventually surface
-    // as an opaque rethrow, sinking the whole batch for one bad request.
+    // letting it fly out of a batch's solving thread would surface as a
+    // rethrow after the join, sinking the whole batch for one bad request.
     outcome.error = "unknown exception while solving";
   }
   outcome.fingerprint = identity.fp;
@@ -234,11 +235,12 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
     byKey.emplace(group.identity.key, groups.size() - 1);
   }
 
-  // Cache hits are answered up front, on the calling thread; then each miss
-  // is one pool task (within-request solving stays serial in its worker — a
-  // task blocking on sub-tasks could deadlock a saturated pool). Misses are
-  // stored after the join, in group order, so which entries a small cache
-  // keeps does not depend on which task finished first.
+  // Cache hits are answered up front, on the calling thread; then the misses
+  // are solved by the calling thread plus up to threads − 1 threads started
+  // for this call, each claiming the next miss from one cursor (within-request
+  // solving stays serial in its thread). Misses are stored after the join, in
+  // group order, so which entries a small cache keeps does not depend on
+  // which solve finished first.
   std::vector<Group*> misses;
   for (Group& group : groups) {
     if (std::optional<RequestOutcome> hit =
@@ -249,26 +251,38 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
     }
   }
   {
-    std::vector<std::future<void>> futures;
-    futures.reserve(misses.size());
-    for (Group* group : misses) {
-      futures.push_back(pool_.submit([this, &requests, &batch, group] {
-        const std::size_t slot = group->indices.front();
-        batch.outcomes[slot] = solveMiss(requests[slot], group->identity,
-                                         group->trace ? &*group->trace : nullptr);
-      }));
-    }
-    // Join every task before any unwind: they write through references into
-    // this frame, which must outlive all of them.
-    std::exception_ptr firstError;
-    for (auto& future : futures) {
+    // Never more threads than misses: a batch of cache hits starts none.
+    const std::size_t helpers =
+        std::max<std::size_t>(std::min(config_.threads, misses.size()), 1) - 1;
+    std::atomic<std::size_t> cursor{0};
+    // errors[0] is the calling thread's, errors[1 + h] helper h's; each
+    // thread stops at its first exception.
+    std::vector<std::exception_ptr> errors(helpers + 1);
+    const auto solveMisses = [&](std::exception_ptr& error) {
       try {
-        future.get();
+        for (std::size_t m = cursor++; m < misses.size(); m = cursor++) {
+          Group& group = *misses[m];
+          const std::size_t slot = group.indices.front();
+          batch.outcomes[slot] = solveMiss(requests[slot], group.identity,
+                                           group.trace ? &*group.trace : nullptr);
+        }
       } catch (...) {
-        if (!firstError) firstError = std::current_exception();
+        error = std::current_exception();
       }
+    };
+    {
+      // Joined at the end of this scope, before any rethrow: the threads
+      // write through references into this frame.
+      std::vector<std::jthread> threads;
+      threads.reserve(helpers);
+      for (std::size_t h = 0; h < helpers; ++h) {
+        threads.emplace_back([&, h] { solveMisses(errors[1 + h]); });
+      }
+      solveMisses(errors[0]);
     }
-    if (firstError) std::rethrow_exception(firstError);
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
   }
 
   // Stores and stats in group (first-seen) order, then each group's outcome

@@ -70,9 +70,9 @@ service::RequestOutcome AsyncScheduler::solveOne(const Job& job, obs::RequestTra
 }
 
 void AsyncScheduler::finish(Job& job, service::RequestOutcome outcome, bool coalescedCopy) {
-  // Callback first (it observes the outcome by reference), then the promise,
-  // then the counters — drain()/future waiters must only unblock once the
-  // user-visible completion has fully happened.
+  // Callback first (it observes the outcome by reference), then the
+  // counters — drain() waiters must only unblock once the user-visible
+  // completion has fully happened.
   if (job.callback) {
     try {
       job.callback(job.request, outcome);
@@ -81,15 +81,12 @@ void AsyncScheduler::finish(Job& job, service::RequestOutcome outcome, bool coal
       ++stats_.callbackExceptions;
     }
   }
-  const bool ok = outcome.ok;
-  const bool fromCache = outcome.fromCache;
-  job.promise.set_value(std::move(outcome));
   {
     std::lock_guard lock(mutex_);
     ++stats_.completed;
-    if (!ok) ++stats_.failed;
+    if (!outcome.ok) ++stats_.failed;
     else if (coalescedCopy) ++stats_.coalesced;
-    else if (fromCache) ++stats_.cacheHits;
+    else if (outcome.fromCache) ++stats_.cacheHits;
     else ++stats_.solved;
   }
   if (coalescedCopy && obs::metricsEnabled()) {
@@ -235,15 +232,18 @@ const char* AsyncScheduler::admit(Job& job, bool block) {
 }
 
 std::future<service::RequestOutcome> AsyncScheduler::submit(service::Request request) {
-  Job job{std::move(request)};
-  std::future<service::RequestOutcome> future = job.promise.get_future();
-  if (const char* refusal = admit(job, /*block=*/true)) throw ModelError(refusal);
+  // Shared: the Callback is a copyable std::function, a promise is not.
+  auto promise = std::make_shared<std::promise<service::RequestOutcome>>();
+  std::future<service::RequestOutcome> future = promise->get_future();
+  submit(std::move(request),
+         [promise](const service::Request&, const service::RequestOutcome& outcome) {
+           promise->set_value(outcome);
+         });
   return future;
 }
 
 void AsyncScheduler::submit(service::Request request, Callback callback) {
-  Job job{std::move(request)};
-  job.callback = std::move(callback);
+  Job job{.request = std::move(request), .callback = std::move(callback)};
   if (const char* refusal = admit(job, /*block=*/true)) throw ModelError(refusal);
 }
 
@@ -251,8 +251,7 @@ bool AsyncScheduler::trySubmit(service::Request request, Callback callback) {
   // Every refusal (full channel, close, an armed `sched.submit` fault) reads
   // as `false`: callers already handle the shed path, so injection
   // exercises it.
-  Job job{std::move(request)};
-  job.callback = std::move(callback);
+  Job job{.request = std::move(request), .callback = std::move(callback)};
   return admit(job, /*block=*/false) == nullptr;
 }
 

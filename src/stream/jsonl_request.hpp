@@ -130,8 +130,11 @@ service::Request requestFromDoc(const Doc& v, const JsonlDefaults& defaults,
       }();
       std::string name;
       if (!nameOverridden) name = instance.name.empty() ? path : std::move(instance.name);
-      return {std::move(instance.pipeline), std::move(instance.platform), defaults.model,
-              defaults.sweep, std::move(name)};
+      return {.pipeline = std::move(instance.pipeline),
+              .platform = std::move(instance.platform),
+              .model = defaults.model,
+              .sweep = defaults.sweep,
+              .name = std::move(name)};
     }
     if (text != nullptr) {
       io::Instance instance = [&] {
@@ -146,8 +149,11 @@ service::Request requestFromDoc(const Doc& v, const JsonlDefaults& defaults,
         name = instance.name.empty() ? "line-" + std::to_string(lineNo)
                                      : std::move(instance.name);
       }
-      return {std::move(instance.pipeline), std::move(instance.platform), defaults.model,
-              defaults.sweep, std::move(name)};
+      return {.pipeline = std::move(instance.pipeline),
+              .platform = std::move(instance.platform),
+              .model = defaults.model,
+              .sweep = defaults.sweep,
+              .name = std::move(name)};
     }
     const workload::ExperimentKind k = kindFromString(std::string(kind->asString()));
     const auto* stages = v.find("stages");
@@ -167,8 +173,11 @@ service::Request requestFromDoc(const Doc& v, const JsonlDefaults& defaults,
       composed << workload::experimentName(k) << "-n" << n << 'p' << p << "-s" << s;
       name = std::move(composed).str();
     }
-    return {std::move(pair.pipeline), std::move(pair.platform), defaults.model,
-            defaults.sweep, std::move(name)};
+    return {.pipeline = std::move(pair.pipeline),
+            .platform = std::move(pair.platform),
+            .model = defaults.model,
+            .sweep = defaults.sweep,
+            .name = std::move(name)};
   }();
 
   if (const auto* name = v.find("name")) request.name = std::string(name->asString());

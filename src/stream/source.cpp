@@ -58,8 +58,11 @@ std::optional<service::Request> FileListSource::next() {
   const obs::TraceClock::time_point start =
       timed ? obs::TraceClock::now() : obs::TraceClock::time_point{};
   const io::Instance instance = io::readInstanceFromFile(path);
-  service::Request request{instance.pipeline, instance.platform, model_, sweep_,
-                           instance.name.empty() ? path : instance.name};
+  service::Request request{.pipeline = instance.pipeline,
+                           .platform = instance.platform,
+                           .model = model_,
+                           .sweep = sweep_,
+                           .name = instance.name.empty() ? path : instance.name};
   if (timed) detail::recordParse(request, start);
   return request;
 }
@@ -73,8 +76,11 @@ ScenarioSource::ScenarioSource(service::SweepSpec sweep, core::CommModel model)
 std::optional<service::Request> ScenarioSource::next() {
   if (cursor_ >= scenarios_.size()) return std::nullopt;
   workload::Scenario& scenario = scenarios_[cursor_++];
-  return service::Request{std::move(scenario.pipeline), platform_, model_, sweep_,
-                          scenario.name};
+  return service::Request{.pipeline = std::move(scenario.pipeline),
+                          .platform = platform_,
+                          .model = model_,
+                          .sweep = sweep_,
+                          .name = scenario.name};
 }
 
 std::optional<service::Request> GeneratorSource::next() {
@@ -85,8 +91,11 @@ std::optional<service::Request> GeneratorSource::next() {
   name << workload::experimentName(spec_.kind) << "-n" << spec_.stages << 'p'
        << spec_.processors << '-' << produced_;
   ++produced_;
-  return service::Request{std::move(pair.pipeline), std::move(pair.platform), spec_.model,
-                          spec_.sweep, name.str()};
+  return service::Request{.pipeline = std::move(pair.pipeline),
+                          .platform = std::move(pair.platform),
+                          .model = spec_.model,
+                          .sweep = spec_.sweep,
+                          .name = name.str()};
 }
 
 std::optional<service::Request> JsonlSource::next() {

@@ -12,8 +12,6 @@ namespace {
 
 using core::IntervalMapping;
 using core::Metrics;
-using core::Pipeline;
-using core::Platform;
 
 std::string compact(const std::function<void(JsonWriter&)>& body) {
   std::ostringstream out;
@@ -101,26 +99,6 @@ TEST(JsonWriter, PrettyPrintingIndents) {
   JsonWriter w(out, /*pretty=*/true);
   w.beginObject().kv("a", 1).endObject();
   EXPECT_EQ(out.str(), "{\n  \"a\": 1\n}");
-}
-
-TEST(JsonEmitters, InstanceShape) {
-  std::ostringstream out;
-  writeInstanceJson(out, Pipeline({1, 2}, {0, 5, 0}), Platform({3, 4}, 10), "demo",
-                    /*pretty=*/false);
-  EXPECT_EQ(out.str(),
-            R"({"name":"demo","pipeline":{"stages":2,"work":[1,2],"comm":[0,5,0]},)"
-            R"("platform":{"processors":2,"speeds":[3,4],"commHomogeneous":true,)"
-            R"("bandwidth":10}})"
-            "\n");
-}
-
-TEST(JsonEmitters, HeterogeneousPlatformEmitsLinkMatrix) {
-  std::ostringstream out;
-  const auto plat = Platform::fullyHeterogeneous({1, 2}, {1, 3, 4, 1}, {5, 6}, {7, 8});
-  writeInstanceJson(out, Pipeline({1}, {0, 0}), plat, "", /*pretty=*/false);
-  const std::string text = out.str();
-  EXPECT_NE(text.find(R"("links":[[0,3],[4,0]])"), std::string::npos) << text;
-  EXPECT_NE(text.find(R"("inputBandwidth":[5,6])"), std::string::npos) << text;
 }
 
 TEST(JsonEmitters, MappingWithAndWithoutMetrics) {

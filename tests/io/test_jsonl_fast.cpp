@@ -411,7 +411,7 @@ TEST(JsonlFastDifferential, AccessorErrorsMatchTreeReader) {
 // ---------------------------------------------------------------------------
 
 struct SourceTrace {
-  std::vector<std::string> keys;    ///< canonicalKey per request, in order
+  std::vector<std::string> keys;    ///< requestIdentity key per request, in order
   std::vector<std::string> names;
   std::vector<std::pair<std::size_t, std::string>> errors;
   std::size_t linesRead = 0;
@@ -426,7 +426,7 @@ SourceTrace runSource(const std::string& input, stream::JsonlDefaults defaults =
     trace.errors.emplace_back(line, message);
   });
   while (std::optional<service::Request> request = source.next()) {
-    trace.keys.push_back(service::canonicalKey(*request));
+    trace.keys.push_back(service::requestIdentity(*request).key);
     trace.names.push_back(request->name);
   }
   trace.linesRead = source.linesRead();

@@ -3,47 +3,12 @@
 // stays robust on loaded CI machines.
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "pipesched/heuristics/heuristics.hpp"
-#include "pipesched/runtime/bounded_queue.hpp"
 #include "pipesched/runtime/executor.hpp"
 #include "pipesched/workload/scenarios.hpp"
 
 namespace pipesched::runtime {
 namespace {
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BoundedQueue, CloseDrainsThenSignalsEnd) {
-  BoundedQueue<int> q(4);
-  q.push(7);
-  q.close();
-  EXPECT_EQ(q.pop(), 7);
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_THROW(q.push(8), ModelError);
-}
-
-TEST(BoundedQueue, RejectsZeroCapacity) {
-  EXPECT_THROW(BoundedQueue<int>(0), ModelError);
-}
-
-TEST(BoundedQueue, BlockingPushWakesOnPop) {
-  BoundedQueue<int> q(1);
-  q.push(1);
-  std::thread producer([&] { q.push(2); });  // blocks until the pop below
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  producer.join();
-}
 
 TEST(Executor, ProcessesEveryDatasetInOrder) {
   const core::Pipeline pipe({2, 3, 1}, {1, 1, 1, 1});

@@ -9,6 +9,9 @@
 namespace pipesched::service {
 namespace {
 
+std::string key(const Request& request) { return requestIdentity(request).key; }
+Fingerprint fp(const Request& request) { return requestIdentity(request).fp; }
+
 Request baseRequest() {
   workload::Scenario scenario = workload::imageProcessingScenario();
   return Request{std::move(scenario.pipeline), workload::labCluster(),
@@ -18,16 +21,16 @@ Request baseRequest() {
 TEST(Fingerprint, IdenticalRequestsShareKeyAndHash) {
   const Request a = baseRequest();
   const Request b = baseRequest();
-  EXPECT_EQ(canonicalKey(a), canonicalKey(b));
-  EXPECT_EQ(fingerprint(a), fingerprint(b));
+  EXPECT_EQ(key(a), key(b));
+  EXPECT_EQ(fp(a), fp(b));
 }
 
 TEST(Fingerprint, NameIsExcluded) {
   const Request a = baseRequest();
   Request b = baseRequest();
   b.name = "a completely different label";
-  EXPECT_EQ(canonicalKey(a), canonicalKey(b));
-  EXPECT_EQ(fingerprint(a), fingerprint(b));
+  EXPECT_EQ(key(a), key(b));
+  EXPECT_EQ(fp(a), fp(b));
 }
 
 TEST(Fingerprint, PipelineChangesSeparate) {
@@ -37,8 +40,8 @@ TEST(Fingerprint, PipelineChangesSeparate) {
   std::vector<Real> comm = b.pipeline.comms();
   work[0] += 1;
   b.pipeline = core::Pipeline(work, comm);
-  EXPECT_NE(canonicalKey(a), canonicalKey(b));
-  EXPECT_NE(fingerprint(a), fingerprint(b));
+  EXPECT_NE(key(a), key(b));
+  EXPECT_NE(fp(a), fp(b));
 }
 
 TEST(Fingerprint, PlatformChangesSeparate) {
@@ -47,15 +50,15 @@ TEST(Fingerprint, PlatformChangesSeparate) {
   std::vector<Real> speeds = b.platform.speeds();
   speeds[0] += 1;
   b.platform = core::Platform(speeds, b.platform.bandwidth());
-  EXPECT_NE(fingerprint(a), fingerprint(b));
+  EXPECT_NE(fp(a), fp(b));
 }
 
 TEST(Fingerprint, CommModelSeparates) {
   const Request a = baseRequest();
   Request b = baseRequest();
   b.model = core::CommModel::kOverlapped;
-  EXPECT_NE(canonicalKey(a), canonicalKey(b));
-  EXPECT_NE(fingerprint(a), fingerprint(b));
+  EXPECT_NE(key(a), key(b));
+  EXPECT_NE(fp(a), fp(b));
 }
 
 TEST(Fingerprint, SweepSpecSeparates) {
@@ -64,9 +67,9 @@ TEST(Fingerprint, SweepSpecSeparates) {
   points.sweep.points += 1;
   Request range = baseRequest();
   range.sweep.range += 0.5;
-  EXPECT_NE(fingerprint(a), fingerprint(points));
-  EXPECT_NE(fingerprint(a), fingerprint(range));
-  EXPECT_NE(fingerprint(points), fingerprint(range));
+  EXPECT_NE(fp(a), fp(points));
+  EXPECT_NE(fp(a), fp(range));
+  EXPECT_NE(fp(points), fp(range));
 }
 
 TEST(Fingerprint, HeterogeneousPlatformIsCovered) {
@@ -80,8 +83,8 @@ TEST(Fingerprint, HeterogeneousPlatformIsCovered) {
   Request b = a;
   links[1] = 20;  // P0 -> P1 link only
   b.platform = core::Platform::fullyHeterogeneous(speeds, links, inBw, outBw);
-  EXPECT_NE(canonicalKey(a), canonicalKey(b));
-  EXPECT_NE(fingerprint(a), fingerprint(b));
+  EXPECT_NE(key(a), key(b));
+  EXPECT_NE(fp(a), fp(b));
 }
 
 TEST(Fingerprint, InstanceIdentityExcludesSweepButNotModelContent) {
@@ -90,24 +93,18 @@ TEST(Fingerprint, InstanceIdentityExcludesSweepButNotModelContent) {
   sweepOnly.sweep.points += 8;
   sweepOnly.sweep.range += 1;
   // Sweep changes separate the request identity but not the instance one.
-  EXPECT_NE(fingerprint(a), fingerprint(sweepOnly));
-  EXPECT_EQ(instanceKey(a), instanceKey(sweepOnly));
+  EXPECT_NE(fp(a), fp(sweepOnly));
   EXPECT_EQ(instanceFingerprint(a), instanceFingerprint(sweepOnly));
   // Model content still separates.
   Request overlapped = baseRequest();
   overlapped.model = core::CommModel::kOverlapped;
-  EXPECT_NE(instanceKey(a), instanceKey(overlapped));
   EXPECT_NE(instanceFingerprint(a), instanceFingerprint(overlapped));
-  // The two key families can never collide (distinct version tags).
-  EXPECT_NE(instanceKey(a), canonicalKey(a));
-  // The one-walk pair agrees with the standalone functions.
-  const RequestIdentity identity = instanceIdentity(a);
-  EXPECT_EQ(identity.key, instanceKey(a));
-  EXPECT_EQ(identity.fp, instanceFingerprint(a));
+  // The two identity families can never collide (distinct version tags).
+  EXPECT_NE(instanceFingerprint(a), fp(a));
 }
 
 TEST(Fingerprint, HexIs32LowercaseDigits) {
-  const std::string hex = fingerprint(baseRequest()).hex();
+  const std::string hex = fp(baseRequest()).hex();
   ASSERT_EQ(hex.size(), 32u);
   for (const char c : hex) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << hex;

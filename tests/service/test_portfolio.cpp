@@ -35,7 +35,7 @@ void expectSameFront(const std::vector<core::ParetoPoint>& a,
 
 TEST(Portfolio, PooledRunEqualsSerialRun) {
   // Parallelism lives across requests: the same instance solved on a
-  // 4-worker solveBatch pool (next to other requests) gives the serial run.
+  // 4-thread solveBatch (next to other requests) gives the serial run.
   const SweepSpec sweep{12, 3};
   std::vector<Request> requests;
   for (const std::uint64_t seed : {7, 8, 9}) {
@@ -47,7 +47,7 @@ TEST(Portfolio, PooledRunEqualsSerialRun) {
   const PortfolioResult serial = runPortfolio(eval, sweep);
   ServiceConfig config;
   config.threads = 4;
-  config.shareSubResults = false;
+  config.subCacheCapacity = 0;
   SchedulingService service(config);
   const BatchResult batch = service.solveBatch(requests);
   ASSERT_TRUE(batch.outcomes[0].ok);

@@ -1,7 +1,7 @@
 // Differential / property harness for the pluggable portfolio (ISSUE 3):
 // on a seeded suite of randomized instances,
 //   * the merged front is byte-identical across repeated runs, and across
-//     solveBatch pool sizes (0, 2 and 8 workers);
+//     solveBatch thread counts (0, 2 and 8);
 //   * the widened portfolio (refiners + c2c members) dominates-or-equals the
 //     H1..H6-only front point for point;
 //   * on exact-eligible small instances the merged front equals the
@@ -218,7 +218,7 @@ TEST(PortfolioProperties, DroppingIsReportedInContributions) {
 
 TEST(PortfolioProperties, ServiceBatchIsByteIdenticalAcrossThreadCountsWithWideMembers) {
   // End-to-end: the same widened+dropping portfolio through SchedulingService
-  // at 0 (serial), 2 and 8 pool threads — outcome-for-outcome byte identity.
+  // at 0 (serial), 2 and 8 threads — outcome-for-outcome byte identity.
   std::vector<Request> requests;
   for (std::size_t i = 0; i < 8; ++i) {
     workload::InstancePair inst = suiteInstance(i);

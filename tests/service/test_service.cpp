@@ -4,8 +4,11 @@
 // gracefully.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pipesched/fault/fault.hpp"
@@ -74,6 +77,37 @@ TEST(Service, BatchIsByteIdenticalToSerialAcrossScenariosAndSeeds) {
     EXPECT_EQ(renderBatch(serialBatch), renderBatch(pooledBatch)) << "seed " << seed;
     EXPECT_EQ(serialBatch.stats.failed, 0u);
   }
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t processThreads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(Service, OwnsNoThreadBetweenCalls) {
+  // A sanitizer runtime starts a helper thread of its own at the process's
+  // first thread creation; start and join one first so it is in `before`.
+  std::thread([] {}).join();
+  const std::size_t before = processThreads();
+  ServiceConfig config;
+  config.threads = 4;
+  SchedulingService svc(config);
+  EXPECT_EQ(processThreads(), before) << "construction started a thread";
+
+  const BatchResult batch = svc.solveBatch(mixedRequests(1, 11));
+  EXPECT_EQ(batch.stats.failed, 0u);
+  // solveBatch joins the threads it started before it returns. A joined
+  // thread's /proc entry can outlive the join by a moment, so poll briefly.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (processThreads() != before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(processThreads(), before) << "a thread outlived solveBatch";
 }
 
 TEST(Service, CacheHitsReturnTheSameFrontsAsColdRuns) {

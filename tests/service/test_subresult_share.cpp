@@ -10,7 +10,7 @@
 //   * truncated exact units are never published (a cached unit must stand
 //     for the complete computation its key names);
 //   * eviction pressure on a tiny sub-cache degrades work saved, never bytes;
-//   * the off switch (flag or zero capacity) really is off.
+//   * the off switch (zero capacity) really is off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -69,7 +69,7 @@ ServiceConfig sharedConfig(bool share, std::size_t threads = 0) {
   ServiceConfig config;
   config.threads = threads;
   config.cacheCapacity = 0;  // isolate the sub-result layer from whole hits
-  config.shareSubResults = share;
+  if (!share) config.subCacheCapacity = 0;
   return config;
 }
 
@@ -83,9 +83,8 @@ TEST(SubResultShare, FrontsByteIdenticalSharedVsColdSerial) {
 }
 
 TEST(SubResultShare, FrontsByteIdenticalSharedVsColdPooled) {
-  // Pooled: portfolio members race on the service pool while publishing and
-  // consuming sub-results concurrently; the batch path additionally solves
-  // different sweeps of the same instance in parallel.
+  // Pooled: the batch path solves different sweeps of the same instance on
+  // several threads, publishing and consuming sub-results concurrently.
   const std::vector<Request> workload = warmSweepWorkload(4, 5);
   SchedulingService cold(sharedConfig(false));
   const std::string reference = renderAll(cold, workload);
@@ -129,7 +128,7 @@ TEST(SubResultShare, RefinersWarmStartFromCachedBaseSeeds) {
   config.portfolio.members = {"H1", "ls:H1", "sa:H1"};
   config.portfolio.annealingMoves = 300;
   ServiceConfig coldConfig = config;
-  coldConfig.shareSubResults = false;
+  coldConfig.subCacheCapacity = 0;
   const Request request = requestFor(1, sweep);
   SchedulingService shared(config);
   SchedulingService cold(coldConfig);
@@ -149,7 +148,7 @@ TEST(SubResultShare, TruncatedExactUnitsAreNeverPublished) {
   ServiceConfig config = sharedConfig(true);
   config.portfolio.budget.exactMappingLimit = 1;
   ServiceConfig coldConfig = config;
-  coldConfig.shareSubResults = false;
+  coldConfig.subCacheCapacity = 0;
   const Request narrow = requestFor(2, SweepSpec{4, 3}, /*stages=*/4, /*processors=*/3);
   const Request wide = requestFor(2, SweepSpec{7, 3}, /*stages=*/4, /*processors=*/3);
   SchedulingService shared(config);
@@ -165,7 +164,6 @@ TEST(SubResultShare, EvictionPressureDegradesWorkSavedNeverBytes) {
   const std::vector<Request> workload = warmSweepWorkload(3, 5);
   ServiceConfig tiny = sharedConfig(true);
   tiny.subCacheCapacity = 8;  // constant eviction churn
-  tiny.subCacheShards = 2;
   SchedulingService small(tiny);
   SchedulingService cold(sharedConfig(false));
   EXPECT_EQ(renderAll(small, workload), renderAll(cold, workload));
@@ -174,17 +172,9 @@ TEST(SubResultShare, EvictionPressureDegradesWorkSavedNeverBytes) {
 
 TEST(SubResultShare, OffSwitchesReallyDisableTheSubCache) {
   const std::vector<Request> workload = warmSweepWorkload(2, 5);
-  ServiceConfig off = sharedConfig(false);
-  SchedulingService offSvc(off);
+  SchedulingService offSvc(sharedConfig(false));
   for (const Request& r : workload) (void)offSvc.solve(r);
-  CacheStats stats = offSvc.subCacheStats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
-
-  ServiceConfig zero = sharedConfig(true);
-  zero.subCacheCapacity = 0;
-  SchedulingService zeroSvc(zero);
-  for (const Request& r : workload) (void)zeroSvc.solve(r);
-  stats = zeroSvc.subCacheStats();
+  const CacheStats stats = offSvc.subCacheStats();
   EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
 }
 
@@ -194,19 +184,14 @@ TEST(SubResultShare, InstanceIdentityIsSweepIndependent) {
   wide.name = "another label";
   // Same instance, different sweep + name: one sub-result identity, two
   // whole-result identities.
-  EXPECT_EQ(instanceKey(narrow), instanceKey(wide));
   EXPECT_EQ(instanceFingerprint(narrow), instanceFingerprint(wide));
-  EXPECT_NE(canonicalKey(narrow), canonicalKey(wide));
+  EXPECT_NE(requestIdentity(narrow).key, requestIdentity(wide).key);
   // Different instance or comm model: different identity.
   const Request other = requestFor(1, SweepSpec{5, 3});
-  EXPECT_NE(instanceKey(narrow), instanceKey(other));
+  EXPECT_NE(instanceFingerprint(narrow), instanceFingerprint(other));
   Request overlapped = requestFor(0, SweepSpec{5, 3});
   overlapped.model = core::CommModel::kOverlapped;
-  EXPECT_NE(instanceKey(narrow), instanceKey(overlapped));
-  // The one-walk pair matches the two standalone functions.
-  const RequestIdentity identity = instanceIdentity(narrow);
-  EXPECT_EQ(identity.key, instanceKey(narrow));
-  EXPECT_EQ(identity.fp, instanceFingerprint(narrow));
+  EXPECT_NE(instanceFingerprint(narrow), instanceFingerprint(overlapped));
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(GeneratorSource, IsDeterministicAndMatchesBatchNaming) {
     ASSERT_TRUE(ra.has_value());
     ASSERT_TRUE(rb.has_value());
     EXPECT_EQ(ra->name, "E3-n6p4-" + std::to_string(i));  // the `batch` CLI scheme
-    EXPECT_EQ(service::canonicalKey(*ra), service::canonicalKey(*rb));
+    EXPECT_EQ(service::requestIdentity(*ra).key, service::requestIdentity(*rb).key);
   }
   EXPECT_FALSE(a.next().has_value());
 }
@@ -187,7 +187,7 @@ TEST(JsonlSource, KindLinesAreDeterministicPerSeed) {
   const auto r2 = s2.next();
   ASSERT_TRUE(r1.has_value());
   ASSERT_TRUE(r2.has_value());
-  EXPECT_EQ(service::canonicalKey(*r1), service::canonicalKey(*r2));
+  EXPECT_EQ(service::requestIdentity(*r1).key, service::requestIdentity(*r2).key);
   EXPECT_EQ(r1->name, "E2-n6p4-s3");
 }
 
@@ -294,8 +294,8 @@ TEST(JsonlSource, DeadlineIsExcludedFromRequestIdentity) {
   const auto b = source.next();
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(service::canonicalKey(*a), service::canonicalKey(*b));
-  EXPECT_EQ(service::fingerprint(*a).hex(), service::fingerprint(*b).hex());
+  EXPECT_EQ(service::requestIdentity(*a).key, service::requestIdentity(*b).key);
+  EXPECT_EQ(service::requestIdentity(*a).fp.hex(), service::requestIdentity(*b).fp.hex());
 }
 
 TEST(JsonlSink, EmitsOneParseableLinePerOutcome) {
@@ -309,13 +309,13 @@ TEST(JsonlSink, EmitsOneParseableLinePerOutcome) {
                                  service::SweepSpec{4, 3}, "sink-test"};
   service::RequestOutcome ok;
   ok.ok = true;
-  ok.fingerprint = service::fingerprint(request);  // solve paths set this
+  ok.fingerprint = service::requestIdentity(request).fp;  // solve paths set this
   ok.result.front.push_back(core::ParetoPoint{2.5, 7.5, std::nullopt});
   ok.result.solvers.push_back(service::SolverContribution{"H1-SpMonoP", 4, true});
   sink.emit(0, request, ok);
   service::RequestOutcome failed;
   failed.ok = false;
-  failed.fingerprint = service::fingerprint(request);
+  failed.fingerprint = service::requestIdentity(request).fp;
   failed.error = "bad \"sweep\"";
   sink.emit(1, request, failed);
 
@@ -325,7 +325,7 @@ TEST(JsonlSink, EmitsOneParseableLinePerOutcome) {
   const io::JsonValue first = io::parseJson(line);  // valid single-line JSON
   EXPECT_EQ(first.find("index")->asSize(), 0u);
   EXPECT_EQ(first.find("name")->asString(), "sink-test");
-  EXPECT_EQ(first.find("fingerprint")->asString(), service::fingerprint(request).hex());
+  EXPECT_EQ(first.find("fingerprint")->asString(), service::requestIdentity(request).fp.hex());
   EXPECT_TRUE(first.find("ok")->asBool());
   EXPECT_EQ(first.find("front")->items.size(), 1u);
   EXPECT_EQ(first.find("front")->items[0].find("period")->asNumber(), 2.5);
