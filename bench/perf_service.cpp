@@ -195,7 +195,7 @@ NetServeSample netServeRun(std::size_t posts, std::size_t linesPerPost, std::siz
   // solves are in flight.
   {
     stream::StreamConfig config;
-    config.workers = workers;
+    config.service.threads = workers;
     config.queueCapacity = std::max<std::size_t>(64, linesPerPost * 2);
     stream::AsyncScheduler scheduler(config);
     net::HttpServerConfig serverConfig;
@@ -262,7 +262,7 @@ NetServeSample netServeRun(std::size_t posts, std::size_t linesPerPost, std::siz
   // ceiling for the HTTP number.
   {
     stream::StreamConfig config;
-    config.workers = workers;
+    config.service.threads = workers;
     config.queueCapacity = std::max<std::size_t>(64, linesPerPost * 2);
     stream::AsyncScheduler scheduler(config);
 

@@ -19,6 +19,7 @@
 // Usage: perf_stream [--requests N] [--stages N] [--processors P] [--points N]
 //                    [--seed S] [--workers LIST] [--capacities LIST]
 //                    [--output FILE]
+// (--workers and the "workers" key are the scheduler's service.threads.)
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -102,7 +103,7 @@ RunSample coldRun(const std::vector<service::Request>& requests, std::size_t cap
                   std::size_t workers) {
   stream::StreamConfig config;
   config.service.cacheCapacity = 0;  // cold: pure solver traffic
-  config.workers = workers;
+  config.service.threads = workers;
   config.queueCapacity = capacity;
   stream::AsyncScheduler scheduler(config);
 
@@ -124,7 +125,7 @@ RunSample coldRun(const std::vector<service::Request>& requests, std::size_t cap
   scheduler.drain();
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
 
-  const stream::StreamStats stats = scheduler.stats();
+  const stream::StreamStats stats = scheduler.snapshot();
   if (stats.failed != 0 || stats.callbackExceptions != 0) {
     throw std::runtime_error("perf_stream: " + std::to_string(stats.failed) +
                              " request(s) failed");
@@ -145,7 +146,7 @@ RunSample coldRun(const std::vector<service::Request>& requests, std::size_t cap
 // ---------------------------------------------------------------------------
 // Parse-path bench: the zero-copy JSONL reader (BlockLineReader + LiteParser
 // + readInstanceInPlace) against the legacy getline + parseJson tree walk
-// (oracles::LegacyJsonlSource), over an identical warm corpus. The scheduler runs inline (workers == 0)
+// (oracles::LegacyJsonlSource), over an identical warm corpus. The scheduler runs inline (threads == 0)
 // with every request a cache hit, so ingestion — parse + response emission —
 // is the measured per-request cost, exactly the regime the ROADMAP item
 // names. Outputs of the two readers are compared byte for byte (fully warm
@@ -192,7 +193,7 @@ ParsePathSample parsePathRun(std::size_t lines, std::uint64_t seed) {
   }
 
   stream::StreamConfig config;
-  config.workers = 0;  // inline: no scheduler hand-off in the measurement
+  config.service.threads = 0;  // inline: no scheduler hand-off in the measurement
   config.queueCapacity = 8;
   config.service.cacheCapacity = distinct * 2;
   stream::AsyncScheduler scheduler(config);
@@ -389,7 +390,7 @@ int main(int argc, char** argv) {
   // Warm pass: same stream twice through one scheduler with the cache on.
   stream::StreamConfig warmConfig;
   warmConfig.service.cacheCapacity = requests * 2;
-  warmConfig.workers = midWorkers;
+  warmConfig.service.threads = midWorkers;
   warmConfig.queueCapacity = midCapacity;
   stream::AsyncScheduler warm(warmConfig);
   const auto pass = [&] {
@@ -406,7 +407,7 @@ int main(int argc, char** argv) {
   const double warmSeconds = pass();
   const double warmSpeedup =
       coldSeconds > 0 && warmSeconds > 0 ? coldSeconds / warmSeconds : 1.0;
-  const stream::StreamStats warmStats = warm.stats();
+  const stream::StreamStats warmStats = warm.snapshot();
   const double warmReqPerSec =
       warmSeconds > 0 ? static_cast<double>(requests) / warmSeconds : 0;
   std::cout << "  warm pass: " << warmReqPerSec << " req/s, speedup vs cold " << warmSpeedup

@@ -28,7 +28,7 @@ int main() {
   stream::ChainSource source(std::move(parts));
 
   stream::StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   stream::AsyncScheduler scheduler(config);
   stream::JsonlSink sink(std::cout);
@@ -60,7 +60,7 @@ int main() {
             << "\n";
   scheduler.drain();
 
-  const stream::StreamStats s = scheduler.stats();
+  const stream::StreamStats s = scheduler.snapshot();
   std::cerr << "totals: " << s.completed << " completed = " << s.solved << " solved + "
             << s.cacheHits << " cache hits + " << s.coalesced << " coalesced + " << s.failed
             << " failed\n";

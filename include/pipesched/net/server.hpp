@@ -7,6 +7,9 @@
 // a graceful drain: stop accepting, let in-flight work finish, flush every
 // outbox, then return from run().
 //
+// The listen backlog is 64 and request bodies above io::kMaxRequestBytes get
+// 413 (HttpParser's default limit).
+//
 // The transport is instrumented through pipesched::obs (net.* counters and
 // per-endpoint latency histograms, recorded only when metrics are enabled)
 // and through an always-on ServerStats snapshot for tests and summaries.
@@ -36,10 +39,7 @@ namespace pipesched::net {
 
 struct HttpServerConfig {
   Endpoint endpoint;                       ///< address to bind (port 0 = ephemeral)
-  int backlog = 64;
   std::size_t maxConnections = 64;         ///< beyond this, new peers get 503
-  /// Request bodies above this get 413.
-  std::size_t maxBodyBytes = io::kMaxRequestBytes;
   int pollTimeoutMs = 200;                 ///< loop heartbeat (stop-flag latency)
   int drainTimeoutMs = 5000;               ///< max wait for in-flight work on stop
   /// Slowloris guard: a connection that started a request but has made no

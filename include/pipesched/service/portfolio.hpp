@@ -66,11 +66,9 @@ struct PortfolioBudget {
 };
 
 struct PortfolioConfig {
-  /// Enter the exact enumerator in the race when
-  /// stages * processors <= exactCellLimit and processors <= exactProcessorLimit.
+  /// Enter the exact enumerator in the race when the instance is small
+  /// enough (see exactEligible).
   bool useExact = true;
-  std::size_t exactCellLimit = 48;
-  std::size_t exactProcessorLimit = 6;
 
   /// Member selection, by catalog id ("H1".."H6", "ls:H1".."ls:H6",
   /// "sa:H1".."sa:H6", "c2c", "c2c:ls", "exact"). Empty = the default race
@@ -226,16 +224,6 @@ class PortfolioMember {
                                                    const SubShare* share) const = 0;
 };
 
-/// One catalog row (see portfolioMemberCatalog).
-struct PortfolioMemberInfo {
-  std::string id;          ///< catalog id, e.g. "ls:H1"
-  std::string solver;      ///< SolverContribution::solver name
-  std::string description; ///< one-line human description
-};
-
-/// Every member id the registry knows, in fixed race order.
-[[nodiscard]] std::vector<PortfolioMemberInfo> portfolioMemberCatalog();
-
 /// The default race: {"H1".."H6", "exact"} — what an empty
 /// PortfolioConfig::members resolves to.
 [[nodiscard]] std::vector<std::string> defaultPortfolioMembers();
@@ -267,7 +255,8 @@ struct PortfolioMemberInfo {
                                            const SubShare* share = nullptr,
                                            const Deadline& requestDeadline = {});
 
-/// True when `config` admits the exact enumerator on this instance size.
+/// True when `config` admits the exact enumerator on this instance size:
+/// useExact, processors <= 6 and stages * processors <= 48.
 [[nodiscard]] bool exactEligible(std::size_t stages, std::size_t processors,
                                  const PortfolioConfig& config);
 

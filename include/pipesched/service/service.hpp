@@ -31,7 +31,9 @@ namespace pipesched::service {
 struct ServiceConfig {
   /// Threads solving solveBatch's unique misses: the calling thread plus
   /// threads − 1 started per call; 0 and 1 solve on the caller (the serial
-  /// reference mode). solve() always runs on its caller.
+  /// reference mode). solve() always runs on its caller. A
+  /// stream::AsyncScheduler wrapping this config starts `threads` workers
+  /// instead, and 0 there means inline mode (submit() solves in place).
   std::size_t threads = 0;
 
   /// Result-cache entries; 0 disables caching.
@@ -47,7 +49,7 @@ struct ServiceConfig {
   /// changes.
   std::size_t subCacheCapacity = 32768;
 
-  PortfolioConfig portfolio;
+  PortfolioConfig portfolio{};
 };
 
 /// Per-member contribution totals over the fresh solves of one batch (cache
@@ -149,11 +151,6 @@ class SchedulingService {
   /// Counters of the instance-keyed sub-result cache (cross-request work
   /// sharing); all zero when ServiceConfig::subCacheCapacity is 0.
   [[nodiscard]] CacheStats subCacheStats() const { return subCache_.stats(); }
-
-  void clearCache() {
-    cache_.clear();
-    subCache_.clear();
-  }
 
  private:
   /// The steps of the one request lifecycle, shared by every entry point:

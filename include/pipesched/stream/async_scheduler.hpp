@@ -3,10 +3,10 @@
 // Where service::SchedulingService::solveBatch is a barrier (load everything,
 // block, return), AsyncScheduler is a faucet: submit(Request) enqueues onto a
 // bounded channel and returns a std::future<RequestOutcome> immediately (or
-// invokes a completion callback); `workers` consumer threads drain the
-// channel, answer from the shared result cache, coalesce duplicates that are
-// in flight (at most maxCoalescedWaiters parked per key — duplicates past
-// the cap solve directly so an all-duplicates stream cannot buffer
+// invokes a completion callback); config.service.threads worker threads
+// drain the channel, answer from the shared result cache, coalesce duplicates
+// that are in flight (at most maxCoalescedWaiters parked per key — duplicates
+// past the cap solve directly so an all-duplicates stream cannot buffer
 // unboundedly), and solve misses through the wrapped SchedulingService. A
 // full channel blocks submit() — backpressure, not unbounded buffering.
 //
@@ -19,7 +19,10 @@
 // describeOutcome() excludes, depend on timing.
 //
 // Parallelism shape mirrors solveBatch: cross-request concurrency comes from
-// `workers`; within-request solving runs serially inside its worker.
+// the same ServiceConfig::threads knob; within-request solving runs serially
+// inside its worker. threads == 0 is inline mode: submit() solves on the
+// calling thread and returns a ready future — no thread at all, fully ordered
+// output, the serial reference mode of the equivalence tests.
 //
 // Lifecycle: drain() blocks until everything submitted has completed;
 // close() additionally stops admission and joins the workers (pending work
@@ -47,13 +50,9 @@ namespace pipesched::stream {
 
 struct StreamConfig {
   /// Configuration of the wrapped SchedulingService (cache, portfolio).
-  /// service.threads is unused here: the scheduler never calls solveBatch.
-  service::ServiceConfig service;
-
-  /// Consumer threads draining the request channel. 0 = inline execution:
-  /// submit() solves synchronously and returns a ready future — the serial
-  /// reference mode of the equivalence tests.
-  std::size_t workers = 1;
+  /// service.threads sizes the worker threads draining the request channel
+  /// (default 1); 0 = inline execution (see the file comment).
+  service::ServiceConfig service{.threads = 1};
 
   /// Request-channel capacity; submit() blocks when this many requests are
   /// queued and unclaimed (backpressure).
@@ -65,7 +64,7 @@ struct StreamConfig {
   /// while one solve is in flight. Past the cap a duplicate is *rejected
   /// from the coalescing list* and solved by the popping worker instead —
   /// identical outcome (the portfolio is deterministic), bounded memory:
-  /// at most workers * maxCoalescedWaiters jobs are ever parked, and once
+  /// at most threads * maxCoalescedWaiters jobs are ever parked, and once
   /// every worker is busy the channel's backpressure reasserts itself.
   /// Counted in StreamStats::coalesceOverflow. 0 disables coalescing
   /// entirely (every duplicate solves on its popping worker).
@@ -78,9 +77,13 @@ struct StreamConfig {
   std::function<service::RequestOutcome(const service::Request&)> solveOverride;
 };
 
-/// Monotone counters; snapshot is internally coherent. Every completed
-/// request lands in exactly one of {solved, cacheHits, coalesced, failed}:
+/// One coherent poll of the scheduler (AsyncScheduler::snapshot()). The
+/// counters are monotone. Every completed request lands in exactly one of
+/// {solved, cacheHits, coalesced, failed}:
 ///   solved + cacheHits + coalesced + failed == completed.
+/// The scheduler-owned fields are copied under a single lock, so inFlight is
+/// submitted - completed at one instant (never negative, never above
+/// submitted), and queueDepth is clamped to queueCapacity.
 struct StreamStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -94,15 +97,6 @@ struct StreamStats {
   std::uint64_t callbackExceptions = 0; ///< completion callbacks that threw (contained)
   std::size_t maxInFlight = 0;  ///< high-water of submitted - completed
   ChannelStats queue;           ///< channel counters (pushWaits = backpressure)
-};
-
-/// One coherent poll of the scheduler (see AsyncScheduler::snapshot()).
-/// The scheduler's own counters are copied under a single lock, so the
-/// derived quantities can never go inconsistent: inFlight is computed as
-/// submitted - completed *inside* that critical section (no negative values,
-/// no in-flight > submitted), and queueDepth is clamped to queueCapacity.
-struct SchedulerSnapshot {
-  StreamStats stream;
   std::uint64_t inFlight = 0;      ///< submitted - completed at snapshot time
   std::size_t inflightKeys = 0;    ///< canonical keys currently being solved
   std::size_t parkedWaiters = 0;   ///< duplicates parked across those keys
@@ -133,15 +127,15 @@ class AsyncScheduler {
   [[nodiscard]] std::future<service::RequestOutcome> submit(service::Request request);
 
   /// Callback form: `callback(request, outcome)` runs on the completing
-  /// worker (inline for workers == 0). A throwing callback is contained and
-  /// counted in StreamStats::callbackExceptions.
+  /// worker (on the caller in inline mode). A throwing callback is contained
+  /// and counted in StreamStats::callbackExceptions.
   void submit(service::Request request, Callback callback);
 
   /// Admission-controlled submit: never blocks. Returns false — without
   /// accepting the request — when the channel is full or the scheduler is
   /// closed; the caller sheds load instead of stalling (the serving tier
   /// answers 503). On true the request is accepted exactly like submit().
-  /// With workers == 0 the request solves inline (there is no queue to
+  /// In inline mode the request solves in place (there is no queue to
   /// fill), so only close() can make this return false.
   [[nodiscard]] bool trySubmit(service::Request request, Callback callback);
 
@@ -153,15 +147,11 @@ class AsyncScheduler {
   /// Stops admission, waits for pending work, joins the workers. Idempotent.
   void close();
 
-  [[nodiscard]] StreamStats stats() const;
-
-  /// Coherent stats poll for observability emitters. stats() reads the
-  /// counter block and the channel independently — fine for monotone
-  /// counters, but a poller correlating them could see in-flight < 0 or
-  /// depth > capacity. snapshot() derives every cross-counter quantity
-  /// under one lock (and clamps the independently-locked channel depth), so
-  /// its invariants hold on every poll, mid-burst included.
-  [[nodiscard]] SchedulerSnapshot snapshot() const;
+  /// The one read of the scheduler's state: counters, in-flight tallies and
+  /// queue depth, coherent on every poll, mid-burst included (see
+  /// StreamStats). The channel counters have their own lock and are read
+  /// just after.
+  [[nodiscard]] StreamStats snapshot() const;
 
   /// The wrapped service's result-cache counters.
   [[nodiscard]] service::CacheStats cacheStats() const { return service_.cacheStats(); }
@@ -190,7 +180,7 @@ class AsyncScheduler {
 
   /// The one admission routine behind submit() and trySubmit(): refuses on
   /// an armed `sched.submit` fault or after close(), otherwise counts the
-  /// job in and runs it inline (workers == 0) or enqueues it — blocking on
+  /// job in and runs it inline (no workers) or enqueues it — blocking on
   /// a full channel only when `block`. Returns nullptr once accepted, else
   /// the refusal message (the caller throws it or reports false).
   [[nodiscard]] const char* admit(Job& job, bool block);

@@ -6,10 +6,10 @@
 // the sink in input order as soon as its turn completes — by the thread that
 // completed it, so a source blocked in next() (a client that waits for the
 // answer before sending its next line) never holds an answer back. A
-// bounded reorder window (queue capacity + workers) caps how much the pump
-// lets in:
+// bounded reorder window (queue capacity + worker threads) caps how much the
+// pump lets in:
 //
-//     live requests  <=  window (queueCapacity + max(workers, 1)) + 1
+//     live requests  <=  window (queueCapacity + max(service.threads, 1)) + 1
 //
 // counted from Source::next() to Sink::emit() — the property the
 // memory-bound test instruments. The window also prevents head-of-line
@@ -29,8 +29,8 @@
 
 namespace pipesched::stream {
 
-/// Accounting of one runStream() pass. `stream` is the scheduler's counter
-/// snapshot at the end of the pass — cumulative when the scheduler is shared
+/// Accounting of one runStream() pass. `stream` is the scheduler's
+/// snapshot() at the end of the pass — cumulative when the scheduler is shared
 /// across passes.
 struct EngineStats {
   std::size_t requests = 0;  ///< emitted to the sink (== stream length)

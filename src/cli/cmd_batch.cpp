@@ -163,13 +163,8 @@ void printJson(std::ostream& out, const std::vector<service::Request>& requests,
   }
   w.endArray();
   w.endObject();
-  w.key("cache").beginObject();
-  w.kv("entries", cache.entries);
-  w.kv("hits", cache.hits);
-  w.kv("misses", cache.misses);
-  w.kv("evictions", cache.evictions);
-  w.kv("hit_ratio", cache.hitRatio());
-  w.endObject();
+  w.key("cache");
+  writeCacheStatsJson(w, cache);
   w.key("sub_cache").beginObject();
   w.kv("entries", sub.entries);
   w.kv("hits", sub.hits);
@@ -182,11 +177,10 @@ void printJson(std::ostream& out, const std::vector<service::Request>& requests,
 
 /// --stream: pump every pass through the async engine, emitting outcome
 /// JSONL incrementally, then one trailing {"stats": ...} line.
-int runStreamMode(const ArgList& args, std::ostream& out, std::size_t threads,
-                  std::size_t repeat, const service::ServiceConfig& serviceConfig) {
+int runStreamMode(const ArgList& args, std::ostream& out, std::size_t repeat,
+                  const service::ServiceConfig& serviceConfig) {
   stream::StreamConfig config;
-  config.service = serviceConfig;
-  config.workers = threads;
+  config.service = serviceConfig;  // its threads size the scheduler's workers
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   stream::AsyncScheduler scheduler(config);
@@ -218,7 +212,7 @@ int runStreamMode(const ArgList& args, std::ostream& out, std::size_t threads,
     wallSeconds += stats.wallSeconds;
   }
 
-  const stream::StreamStats s = scheduler.stats();
+  const stream::StreamStats s = scheduler.snapshot();
   const service::CacheStats cache = scheduler.cacheStats();
   const service::CacheStats sub = scheduler.subCacheStats();
   io::JsonWriter w(out, /*pretty=*/false);
@@ -265,7 +259,7 @@ int cmdBatch(const ArgList& args, std::ostream& out, std::ostream& /*err*/) {
   const bool json = args.has("json");  // stream mode is JSONL regardless
 
   if (args.has("stream")) {
-    return runStreamMode(args, out, config.threads, repeat, config);
+    return runStreamMode(args, out, repeat, config);
   }
   std::vector<service::Request> requests = drainSource(*buildSource(args));
   args.assertConsumed();

@@ -55,7 +55,7 @@ namespace {
 /// evictions), and the full metric registry.
 std::string renderServeSnapshot(const stream::AsyncScheduler& scheduler,
                                 std::size_t sequence, double uptimeSeconds) {
-  const stream::SchedulerSnapshot snap = scheduler.snapshot();
+  const stream::StreamStats snap = scheduler.snapshot();
   std::ostringstream buffer;
   io::JsonWriter w(buffer, /*pretty=*/false);
   w.beginObject();
@@ -63,20 +63,20 @@ std::string renderServeSnapshot(const stream::AsyncScheduler& scheduler,
   w.kv("sequence", sequence);
   w.kv("uptime_seconds", uptimeSeconds);
   w.key("scheduler").beginObject();
-  w.kv("submitted", static_cast<std::size_t>(snap.stream.submitted));
-  w.kv("completed", static_cast<std::size_t>(snap.stream.completed));
+  w.kv("submitted", static_cast<std::size_t>(snap.submitted));
+  w.kv("completed", static_cast<std::size_t>(snap.completed));
   w.kv("in_flight", static_cast<std::size_t>(snap.inFlight));
   w.kv("inflight_keys", snap.inflightKeys);
   w.kv("parked_waiters", snap.parkedWaiters);
   w.kv("queue_depth", snap.queueDepth);
   w.kv("queue_capacity", snap.queueCapacity);
-  w.kv("queue_high_water", snap.stream.queue.highWater);
-  w.kv("backpressure_waits", static_cast<std::size_t>(snap.stream.queue.pushWaits));
-  w.kv("solved", static_cast<std::size_t>(snap.stream.solved));
-  w.kv("cache_hits", static_cast<std::size_t>(snap.stream.cacheHits));
-  w.kv("coalesced", static_cast<std::size_t>(snap.stream.coalesced));
-  w.kv("failed", static_cast<std::size_t>(snap.stream.failed));
-  w.kv("max_in_flight", snap.stream.maxInFlight);
+  w.kv("queue_high_water", snap.queue.highWater);
+  w.kv("backpressure_waits", static_cast<std::size_t>(snap.queue.pushWaits));
+  w.kv("solved", static_cast<std::size_t>(snap.solved));
+  w.kv("cache_hits", static_cast<std::size_t>(snap.cacheHits));
+  w.kv("coalesced", static_cast<std::size_t>(snap.coalesced));
+  w.kv("failed", static_cast<std::size_t>(snap.failed));
+  w.kv("max_in_flight", snap.maxInFlight);
   w.endObject();
   w.key("cache");
   writeCacheStatsJson(w, scheduler.cacheStats());
@@ -211,8 +211,7 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
   defaults.deadlineMs = deadlineDefaultFromArgs(args);
 
   stream::StreamConfig config;
-  config.service = serviceConfigFromArgs(args);
-  config.workers = config.service.threads;  // --threads sizes the workers
+  config.service = serviceConfigFromArgs(args);  // --threads sizes the workers
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   std::unique_ptr<std::ifstream> file;
@@ -286,7 +285,7 @@ int serveStdio(const ArgList& args, std::ostream& out, std::ostream& err) {
   if (wantStats) emitSnapshot();
   const bool stopped = g_shutdownRequested.load();
 
-  const stream::StreamStats s = scheduler.stats();
+  const stream::StreamStats s = scheduler.snapshot();
   const service::CacheStats cache = scheduler.cacheStats();
   const service::CacheStats sub = scheduler.subCacheStats();
   err << "serve: " << stats.requests << " request(s) — " << s.solved << " solved, "
@@ -329,7 +328,7 @@ int serveListen(const ArgList& args, const std::string& listenSpec, std::ostream
   config.service = serviceConfigFromArgs(args);
   // Solves must run off the event loop: at least one worker even under
   // --serial (within-request solving stays serial either way).
-  config.workers = std::max<std::size_t>(1, config.service.threads);
+  config.service.threads = std::max<std::size_t>(1, config.service.threads);
   config.queueCapacity = args.getSize("queue-capacity", 64);
 
   net::HttpServerConfig serverConfig;
@@ -393,7 +392,7 @@ int serveListen(const ArgList& args, const std::string& listenSpec, std::ostream
   if (wantStats) statsWriter.writeLine(renderSnapshot());  // terminal snapshot
 
   const net::ServerStats ns = server.stats();
-  const stream::StreamStats s = scheduler.stats();
+  const stream::StreamStats s = scheduler.snapshot();
   err << "serve: drained — " << ns.requests << " http request(s) on " << ns.accepted
       << " connection(s), " << static_cast<std::size_t>(s.completed)
       << " solve(s) (" << static_cast<std::size_t>(s.cacheHits) << " cache hit(s), "

@@ -122,8 +122,9 @@ void handleSolve(HttpServer& server, stream::AsyncScheduler& scheduler,
             stream::renderOutcomeLine(pending->lines[slot], index, req.sourceLine, req,
                                       outcome);
           }
-          if (outcome.timedOut) {
-            obs::registry().counter(obs::names::kNetTimeout).add();
+          if (outcome.timedOut && obs::metricsEnabled()) {
+            static obs::Counter& netTimeouts = obs::registry().counter(obs::names::kNetTimeout);
+            netTimeouts.add();
           }
           std::unique_lock<std::mutex> lock(pending->mutex);
           if (outcome.timedOut) ++pending->timedOut;

@@ -63,7 +63,7 @@ void HttpServer::handle(std::string method, std::string path, Handler handler) {
 
 void HttpServer::bind() {
   if (listener_.open()) return;
-  listener_.listen(config_.endpoint, config_.backlog);
+  listener_.listen(config_.endpoint);
 }
 
 Endpoint HttpServer::local() const { return listener_.local(); }
@@ -120,7 +120,6 @@ void HttpServer::acceptPending() {
     }
     Connection conn;
     conn.socket = std::move(*socket);
-    conn.parser = HttpParser(config_.maxBodyBytes);
     conn.lastActivity = std::chrono::steady_clock::now();
     connections_.emplace(nextConnectionId_++, std::move(conn));
   }

@@ -25,6 +25,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Largest instance the exact enumerator joins the race on (exactEligible).
+constexpr std::size_t kExactCellLimit = 48;       // stages * processors
+constexpr std::size_t kExactProcessorLimit = 6;
+
 struct Slot {
   std::vector<core::ParetoPoint> points;
   SolverContribution contribution;
@@ -595,31 +599,8 @@ void runMember(const PortfolioMember& member, const core::Evaluator& eval,
 }  // namespace
 
 bool exactEligible(std::size_t stages, std::size_t processors, const PortfolioConfig& config) {
-  return config.useExact && processors <= config.exactProcessorLimit &&
-         stages * processors <= config.exactCellLimit;
-}
-
-std::vector<PortfolioMemberInfo> portfolioMemberCatalog() {
-  std::vector<PortfolioMemberInfo> catalog;
-  for (const std::string& id : allPortfolioMembers()) {
-    const std::unique_ptr<PortfolioMember> member = makeMember(id);
-    std::string description;
-    if (id.size() == 2 && id[0] == 'H') {
-      description = "registry heuristic swept over the threshold grid";
-    } else if (id.rfind("ls:", 0) == 0) {
-      description = "steepest-descent refiner seeded from " + id.substr(3) + " per grid point";
-    } else if (id.rfind("sa:", 0) == 0) {
-      description = "annealing refiner seeded from " + id.substr(3) + " per grid point";
-    } else if (id == "c2c") {
-      description = "chains-to-chains fixed-order DP over the k fastest processors";
-    } else if (id == "c2c:ls") {
-      description = "chains-to-chains processor-order local search";
-    } else {
-      description = "exhaustive enumerator on exact-eligible instances";
-    }
-    catalog.push_back(PortfolioMemberInfo{id, member->solverName(), std::move(description)});
-  }
-  return catalog;
+  return config.useExact && processors <= kExactProcessorLimit &&
+         stages * processors <= kExactCellLimit;
 }
 
 std::vector<std::string> defaultPortfolioMembers() {

@@ -30,8 +30,8 @@ AsyncScheduler::AsyncScheduler(StreamConfig config)
     : config_(std::move(config)),
       service_(config_.service),
       channel_(config_.queueCapacity) {
-  workers_.reserve(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i) {
+  workers_.reserve(config_.service.threads);
+  for (std::size_t i = 0; i < config_.service.threads; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
   }
 }
@@ -275,23 +275,13 @@ void AsyncScheduler::close() {
   joined_ = true;
 }
 
-StreamStats AsyncScheduler::stats() const {
-  StreamStats snapshot;
-  {
-    std::lock_guard lock(mutex_);
-    snapshot = stats_;
-  }
-  snapshot.queue = channel_.stats();
-  return snapshot;
-}
-
-SchedulerSnapshot AsyncScheduler::snapshot() const {
-  SchedulerSnapshot snap;
+StreamStats AsyncScheduler::snapshot() const {
+  StreamStats snap;
   {
     // One critical section for every scheduler-owned counter: inFlight and
     // the parked-waiter tallies are derived while nothing can move.
     std::lock_guard lock(mutex_);
-    snap.stream = stats_;
+    snap = stats_;
     snap.inFlight = stats_.submitted - stats_.completed;
     snap.inflightKeys = inflight_.size();
     for (const auto& [key, waiters] : inflight_) snap.parkedWaiters += waiters.size();
@@ -300,7 +290,7 @@ SchedulerSnapshot AsyncScheduler::snapshot() const {
   // not atomic with the block above, so clamp to the documented invariant.
   snap.queueCapacity = config_.queueCapacity;
   snap.queueDepth = std::min(channel_.size(), snap.queueCapacity);
-  snap.stream.queue = channel_.stats();
+  snap.queue = channel_.stats();
   return snap;
 }
 

@@ -116,7 +116,7 @@ EngineStats runStream(Source& source, Sink& sink, AsyncScheduler& scheduler) {
 
   const StreamConfig& config = scheduler.config();
   const std::size_t window =
-      config.queueCapacity + std::max<std::size_t>(config.workers, 1);
+      config.queueCapacity + std::max<std::size_t>(config.service.threads, 1);
 
   Emitter emitter(sink);
   std::size_t submitted = 0;
@@ -163,7 +163,7 @@ EngineStats runStream(Source& source, Sink& sink, AsyncScheduler& scheduler) {
   if (stats.wallSeconds > 0 && stats.requests > 0) {
     stats.requestsPerSecond = static_cast<double>(stats.requests) / stats.wallSeconds;
   }
-  stats.stream = scheduler.stats();
+  stats.stream = scheduler.snapshot();
   return stats;
 }
 

@@ -58,7 +58,7 @@ class EndpointsFixture {
 
   static stream::StreamConfig makeDefaultConfig() {
     stream::StreamConfig config;
-    config.workers = 2;
+    config.service.threads = 2;
     return config;
   }
 
@@ -109,7 +109,7 @@ TEST(ServeEndpoints, SaturatedQueueShedsWith503) {
   bool release = false;
 
   stream::StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.queueCapacity = 1;
   config.maxCoalescedWaiters = 0;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
@@ -207,7 +207,7 @@ TEST(ServeEndpoints, WholeBatchPastDeadlineAnswers504) {
   bool release = false;
 
   stream::StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.queueCapacity = 8;
   config.solveOverride = [&](const service::Request& request) -> service::RequestOutcome {
     service::RequestOutcome outcome;
@@ -254,6 +254,22 @@ TEST(ServeEndpoints, WholeBatchPastDeadlineAnswers504) {
   // Both lines still got their outcome line — degraded, never silent.
   EXPECT_NE(r.body.find("\"line\":1"), std::string::npos);
   EXPECT_NE(r.body.find("\"line\":2"), std::string::npos);
+}
+
+TEST(ServeEndpoints, TimeoutCounterStaysUntouchedWithMetricsOff) {
+  // net.timeout_total is a registry metric like every other: with metrics
+  // off a timed-out POST still answers 504 but records nothing.
+  obs::registry().reset();
+  obs::ScopedMetricsEnabled metricsOff(false);
+  EndpointsFixture fixture;
+  // A 1 ns deadline has passed before any worker reaches the request.
+  const ClientResponse r = fetch(
+      fixture.endpoint(), "POST", "/solve",
+      "{\"kind\":\"E1\",\"stages\":4,\"processors\":3,\"seed\":1,"
+      "\"deadline_ms\":0.000001}\n");
+  EXPECT_EQ(r.status, 504);
+  EXPECT_NE(r.body.find("\"timed_out\":true"), std::string::npos);
+  EXPECT_EQ(obs::registry().counter(obs::names::kNetTimeout).value(), 0u);
 }
 
 TEST(ServeEndpoints, MethodMismatchesAreRejected) {

@@ -176,7 +176,7 @@ TEST(ServiceTrace, BatchAttachesTracesToEveryOutcome) {
 TEST(StreamTrace, WorkerPathRecordsQueueWait) {
   ScopedTracingEnabled tracing(true);
   stream::StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   stream::AsyncScheduler scheduler(config);
   auto future = scheduler.submit(makeRequest(6));
   const service::RequestOutcome outcome = future.get();
@@ -192,7 +192,7 @@ TEST(StreamTrace, WorkerPathRecordsQueueWait) {
 TEST(StreamTrace, DisabledModeStaysTraceFree) {
   ASSERT_FALSE(tracingEnabled());
   stream::StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   stream::AsyncScheduler scheduler(config);
   auto future = scheduler.submit(makeRequest(7));
   const service::RequestOutcome outcome = future.get();

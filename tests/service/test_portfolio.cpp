@@ -99,8 +99,6 @@ TEST(Portfolio, ExactJoinsOnSmallInstancesAndItsFrontSurvivesMerging) {
 
 TEST(Portfolio, ExactEligibilityRespectsLimits) {
   PortfolioConfig config;
-  config.exactCellLimit = 48;
-  config.exactProcessorLimit = 6;
   EXPECT_TRUE(exactEligible(8, 5, config));    // 40 cells
   EXPECT_FALSE(exactEligible(10, 5, config));  // 50 cells
   EXPECT_FALSE(exactEligible(4, 7, config));   // p over the limit

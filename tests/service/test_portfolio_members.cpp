@@ -23,19 +23,18 @@ workload::InstancePair instanceFor(workload::ExperimentKind kind, std::size_t n,
 }
 
 TEST(PortfolioMembers, CatalogListsEveryIdOnceInRaceOrder) {
-  const std::vector<PortfolioMemberInfo> catalog = portfolioMemberCatalog();
-  const std::vector<std::string> ids = allPortfolioMembers();
-  ASSERT_EQ(catalog.size(), ids.size());
+  PortfolioConfig config;
+  config.members = allPortfolioMembers();
+  const auto members = makePortfolioMembers(config);
+  ASSERT_EQ(members.size(), config.members.size());
   std::set<std::string> seen;
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    EXPECT_EQ(catalog[i].id, ids[i]);
-    EXPECT_FALSE(catalog[i].solver.empty());
-    EXPECT_FALSE(catalog[i].description.empty());
-    EXPECT_TRUE(seen.insert(catalog[i].id).second) << "duplicate id " << catalog[i].id;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_FALSE(members[i]->solverName().empty());
+    EXPECT_TRUE(seen.insert(config.members[i]).second) << "duplicate id " << config.members[i];
   }
   // 6 heuristics + 6 local-search refiners + 6 annealing refiners + 2 c2c
   // solvers + the exact enumerator.
-  EXPECT_EQ(catalog.size(), 21u);
+  EXPECT_EQ(members.size(), 21u);
 }
 
 TEST(PortfolioMembers, DefaultSetIsTheLegacyRace) {
@@ -51,12 +50,16 @@ TEST(PortfolioMembers, EveryCatalogIdResolvesToItself) {
   PortfolioConfig config;
   config.members = allPortfolioMembers();
   const auto members = makePortfolioMembers(config);
-  const auto catalog = portfolioMemberCatalog();
-  ASSERT_EQ(members.size(), catalog.size());
+  ASSERT_EQ(members.size(), config.members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    EXPECT_EQ(members[i]->id(), catalog[i].id);
-    EXPECT_EQ(members[i]->solverName(), catalog[i].solver);
+    EXPECT_EQ(members[i]->id(), config.members[i]);
   }
+  // Spot-check the reported solver names of each member family.
+  EXPECT_EQ(members[0]->solverName(), "H1-SpMonoP");
+  EXPECT_EQ(members[6]->solverName(), "ls:H1");
+  EXPECT_EQ(members[18]->solverName(), "c2c-dp");
+  EXPECT_EQ(members[19]->solverName(), "c2c-ls");
+  EXPECT_EQ(members[20]->solverName(), "exact");
 }
 
 TEST(PortfolioMembers, UnknownIdThrowsModelError) {

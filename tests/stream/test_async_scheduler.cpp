@@ -39,7 +39,7 @@ void expectInvariant(const StreamStats& s) {
 
 TEST(AsyncScheduler, FutureCarriesTheOutcome) {
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   AsyncScheduler scheduler(config);
   std::future<service::RequestOutcome> future = scheduler.submit(makeRequest(1));
@@ -47,25 +47,49 @@ TEST(AsyncScheduler, FutureCarriesTheOutcome) {
   EXPECT_TRUE(outcome.ok);
   EXPECT_FALSE(outcome.result.front.empty());
   scheduler.close();
-  expectInvariant(scheduler.stats());
+  expectInvariant(scheduler.snapshot());
 }
 
 TEST(AsyncScheduler, InlineModeSolvesInSubmit) {
   StreamConfig config;
-  config.workers = 0;  // no threads at all: the serial reference mode
+  config.service.threads = 0;  // no threads at all: the serial reference mode
   AsyncScheduler scheduler(config);
   std::future<service::RequestOutcome> future = scheduler.submit(makeRequest(2));
   EXPECT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_TRUE(future.get().ok);
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.solved, 1u);
   expectInvariant(stats);
 }
 
+TEST(AsyncScheduler, ServiceThreadsSizeTheWorkers) {
+  // service.threads is the scheduler's one thread knob: with two threads two
+  // solves are inside the service at once. Each solve waits (bounded) for the
+  // other; with a single worker the first would time out and fail.
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t inside = 0;
+  StreamConfig config;
+  config.service.threads = 2;
+  config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++inside;
+    cv.notify_all();
+    service::RequestOutcome outcome;
+    outcome.ok = cv.wait_for(lock, std::chrono::seconds(5), [&] { return inside >= 2; });
+    return outcome;
+  };
+  AsyncScheduler scheduler(config);
+  std::future<service::RequestOutcome> first = scheduler.submit(makeRequest(90));
+  std::future<service::RequestOutcome> second = scheduler.submit(makeRequest(91));
+  EXPECT_TRUE(first.get().ok);
+  EXPECT_TRUE(second.get().ok);
+}
+
 TEST(AsyncScheduler, CallbackRunsWithTheOutcome) {
   StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   AsyncScheduler scheduler(config);
   std::promise<service::RequestOutcome> delivered;
   scheduler.submit(makeRequest(3),
@@ -79,7 +103,7 @@ TEST(AsyncScheduler, CallbackRunsWithTheOutcome) {
 
 TEST(AsyncScheduler, MalformedRequestFailsItsFutureOnly) {
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   AsyncScheduler scheduler(config);
   service::Request bad = makeRequest(4);
   bad.sweep.points = 0;  // runPortfolio rejects this
@@ -90,14 +114,14 @@ TEST(AsyncScheduler, MalformedRequestFailsItsFutureOnly) {
   EXPECT_FALSE(badOutcome.error.empty());
   EXPECT_TRUE(goodFuture.get().ok);  // the worker survived the failure
   scheduler.drain();
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.failed, 1u);
   expectInvariant(stats);
 }
 
 TEST(AsyncScheduler, ThrowingSolveBecomesAFailedOutcomeNotTerminate) {
   StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.solveOverride = [](const service::Request& request) -> service::RequestOutcome {
     if (request.name == "req-7") throw std::runtime_error("solver exploded");
     if (request.name == "req-8") throw 42;  // non-std exception
@@ -115,19 +139,19 @@ TEST(AsyncScheduler, ThrowingSolveBecomesAFailedOutcomeNotTerminate) {
   const service::RequestOutcome third = scheduler.submit(makeRequest(9)).get();
   EXPECT_TRUE(third.ok);  // the worker thread survived both throws
   scheduler.drain();
-  expectInvariant(scheduler.stats());
+  expectInvariant(scheduler.snapshot());
 }
 
 TEST(AsyncScheduler, ThrowingCallbackIsContainedAndCounted) {
   StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   AsyncScheduler scheduler(config);
   scheduler.submit(makeRequest(10), [](const service::Request&,
                                        const service::RequestOutcome&) {
     throw std::runtime_error("callback bug");
   });
   scheduler.drain();
-  EXPECT_EQ(scheduler.stats().callbackExceptions, 1u);
+  EXPECT_EQ(scheduler.snapshot().callbackExceptions, 1u);
   // The worker is still alive and solving.
   EXPECT_TRUE(scheduler.submit(makeRequest(11)).get().ok);
 }
@@ -137,7 +161,7 @@ TEST(AsyncScheduler, DuplicatesOneAtATimeAreCacheHitsAndTheStatsPartition) {
   // between submits) land in solved/cacheHits/failed only, and the buckets
   // always sum to completed.
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   AsyncScheduler scheduler(config);
   const service::Request a = makeRequest(20);
   const service::Request b = makeRequest(21);
@@ -147,9 +171,9 @@ TEST(AsyncScheduler, DuplicatesOneAtATimeAreCacheHitsAndTheStatsPartition) {
   for (const service::Request& request : sequence) {
     (void)scheduler.submit(request).get();
     scheduler.drain();
-    expectInvariant(scheduler.stats());
+    expectInvariant(scheduler.snapshot());
   }
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.submitted, 6u);
   EXPECT_EQ(stats.completed, 6u);
   EXPECT_EQ(stats.solved, 2u);     // a and b, first arrivals
@@ -168,7 +192,7 @@ TEST(AsyncScheduler, InFlightDuplicatesCoalesceDeterministically) {
   std::atomic<int> solves{0};
 
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     const int nth = ++solves;
@@ -189,7 +213,7 @@ TEST(AsyncScheduler, InFlightDuplicatesCoalesceDeterministically) {
 
   // Wait until the duplicate is parked on the in-flight solve, then open the
   // gate. Polling is safe: waitersAttached is monotone.
-  while (scheduler.stats().waitersAttached == 0) {
+  while (scheduler.snapshot().waitersAttached == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   {
@@ -209,7 +233,7 @@ TEST(AsyncScheduler, InFlightDuplicatesCoalesceDeterministically) {
   ASSERT_EQ(b.result.front.size(), 1u);
   EXPECT_EQ(a.result.front[0].period, b.result.front[0].period);
   EXPECT_NE(a.deduped, b.deduped);
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.solved, 1u);
   EXPECT_EQ(stats.coalesced, 1u);
   EXPECT_EQ(stats.waitersAttached, 1u);
@@ -222,7 +246,7 @@ TEST(AsyncScheduler, CloseWithPendingWorkCompletesEverything) {
   bool released = false;
 
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 8;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     std::unique_lock lock(gate_mutex);
@@ -248,7 +272,7 @@ TEST(AsyncScheduler, CloseWithPendingWorkCompletesEverything) {
 
   // Shutdown dropped nothing: every accepted future is fulfilled.
   for (auto& future : futures) EXPECT_TRUE(future.get().ok);
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.completed, 5u);
   expectInvariant(stats);
   EXPECT_THROW((void)scheduler.submit(makeRequest(46)), ModelError);
@@ -258,7 +282,7 @@ TEST(AsyncScheduler, DestructorDrainsPendingWork) {
   std::vector<std::future<service::RequestOutcome>> futures;
   {
     StreamConfig config;
-    config.workers = 2;
+    config.service.threads = 2;
     config.queueCapacity = 2;
     AsyncScheduler scheduler(config);
     for (std::uint64_t seed = 50; seed < 54; ++seed) {
@@ -278,7 +302,7 @@ TEST(AsyncScheduler, CoalescedWaiterListIsCappedAndOverflowSolvesDirectly) {
   std::atomic<int> solves{0};
 
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   config.maxCoalescedWaiters = 2;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
@@ -301,11 +325,11 @@ TEST(AsyncScheduler, CoalescedWaiterListIsCappedAndOverflowSolvesDirectly) {
 
   // Poll monotone counters only — no fixed sleeps.
   while (true) {
-    const StreamStats stats = scheduler.stats();
+    const StreamStats stats = scheduler.snapshot();
     if (stats.waitersAttached == 2 && stats.coalesceOverflow == 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(scheduler.stats().completed, 0u);  // everything gated or parked
+  EXPECT_EQ(scheduler.snapshot().completed, 0u);  // everything gated or parked
   {
     std::lock_guard lock(gate_mutex);
     released = true;
@@ -313,7 +337,7 @@ TEST(AsyncScheduler, CoalescedWaiterListIsCappedAndOverflowSolvesDirectly) {
   gate_cv.notify_all();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok);
   scheduler.drain();
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.completed, 8u);
   // Every parked duplicate became a coalesced copy; everything else (owner,
   // overflow, post-release pops) went through its own solve.
@@ -336,7 +360,7 @@ TEST(AsyncScheduler, AllDuplicatesStreamStaysBounded) {
   bool released = false;
 
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 2;
   config.maxCoalescedWaiters = 2;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
@@ -357,7 +381,7 @@ TEST(AsyncScheduler, AllDuplicatesStreamStaysBounded) {
   // Quiescence: both workers gated (one owner, one overflow), the waiter
   // list full, the channel full, the producer blocked. All monotone.
   while (true) {
-    const StreamStats stats = scheduler.stats();
+    const StreamStats stats = scheduler.snapshot();
     if (stats.waitersAttached >= 2 && stats.coalesceOverflow >= 1 &&
         stats.queue.pushWaits >= 1) {
       break;
@@ -365,7 +389,7 @@ TEST(AsyncScheduler, AllDuplicatesStreamStaysBounded) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   {
-    const StreamStats stats = scheduler.stats();
+    const StreamStats stats = scheduler.snapshot();
     EXPECT_EQ(stats.completed, 0u);
     EXPECT_LE(stats.submitted, 7u);  // 1 + 2 + 1 + 2 + 1 — bounded, not 50
     EXPECT_LE(stats.waitersAttached, 2u);
@@ -378,7 +402,7 @@ TEST(AsyncScheduler, AllDuplicatesStreamStaysBounded) {
   producer.join();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok);
   scheduler.drain();
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.submitted, 50u);
   EXPECT_EQ(stats.completed, 50u);
   expectInvariant(stats);
@@ -389,7 +413,7 @@ TEST(AsyncScheduler, OverflowOutcomesAreByteIdenticalToCoalescedOnes) {
   // must render byte-identically to the coalesced copies (the determinism
   // contract the cap relies on).
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 8;
   config.maxCoalescedWaiters = 1;
   AsyncScheduler scheduler(config);
@@ -404,13 +428,13 @@ TEST(AsyncScheduler, OverflowOutcomesAreByteIdenticalToCoalescedOnes) {
     EXPECT_EQ(service::describeOutcome(outcome), service::describeOutcome(outcomes.front()));
     EXPECT_EQ(outcome.fingerprint.hex(), outcomes.front().fingerprint.hex());
   }
-  expectInvariant(scheduler.stats());
+  expectInvariant(scheduler.snapshot());
 }
 
 TEST(AsyncScheduler, CapZeroDisablesCoalescingEntirely) {
   std::atomic<int> solves{0};
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 8;
   config.maxCoalescedWaiters = 0;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
@@ -425,7 +449,7 @@ TEST(AsyncScheduler, CapZeroDisablesCoalescingEntirely) {
   for (int i = 0; i < 6; ++i) futures.push_back(scheduler.submit(request));
   for (auto& future : futures) EXPECT_TRUE(future.get().ok);
   scheduler.drain();
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.completed, 6u);
   EXPECT_EQ(stats.waitersAttached, 0u);
   EXPECT_EQ(stats.coalesced, 0u);
@@ -439,7 +463,7 @@ TEST(AsyncScheduler, BackpressureIsObservableUnderABlockedWorker) {
   bool released = false;
 
   StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.queueCapacity = 1;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     std::unique_lock lock(gate_mutex);
@@ -456,7 +480,7 @@ TEST(AsyncScheduler, BackpressureIsObservableUnderABlockedWorker) {
   std::thread producer([&] { futures.push_back(scheduler.submit(makeRequest(62))); });
   // Open the gate only once #3 is provably blocked on the full queue —
   // a fixed sleep would race the producer thread's startup.
-  while (scheduler.stats().queue.pushWaits == 0) {
+  while (scheduler.snapshot().queue.pushWaits == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   {
@@ -466,16 +490,16 @@ TEST(AsyncScheduler, BackpressureIsObservableUnderABlockedWorker) {
   gate_cv.notify_all();
   producer.join();
   scheduler.drain();
-  EXPECT_GE(scheduler.stats().queue.pushWaits, 1u);
+  EXPECT_GE(scheduler.snapshot().queue.pushWaits, 1u);
   for (auto& future : futures) EXPECT_TRUE(future.get().ok);
 }
 
-void expectCoherent(const SchedulerSnapshot& snap) {
+void expectCoherent(const StreamStats& snap) {
   // The invariants a poller may rely on at ANY instant: derived quantities
   // are computed inside one critical section, and the independently-locked
   // channel depth is clamped to the configured capacity.
-  EXPECT_GE(snap.stream.submitted, snap.stream.completed);
-  EXPECT_EQ(snap.inFlight, snap.stream.submitted - snap.stream.completed);
+  EXPECT_GE(snap.submitted, snap.completed);
+  EXPECT_EQ(snap.inFlight, snap.submitted - snap.completed);
   EXPECT_LE(snap.queueDepth, snap.queueCapacity);
   EXPECT_LE(snap.inflightKeys, snap.inFlight);
 }
@@ -483,7 +507,7 @@ void expectCoherent(const SchedulerSnapshot& snap) {
 TEST(AsyncScheduler, SnapshotIsCoherentWhilePolledConcurrently) {
   std::atomic<bool> released{false};
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     // Slow solve: keep work genuinely in flight while the poller hammers
@@ -516,13 +540,13 @@ TEST(AsyncScheduler, SnapshotIsCoherentWhilePolledConcurrently) {
   poller.join();
 
   scheduler.drain();
-  const SchedulerSnapshot done = scheduler.snapshot();
+  const StreamStats done = scheduler.snapshot();
   expectCoherent(done);
   EXPECT_EQ(done.inFlight, 0u);
   EXPECT_EQ(done.queueDepth, 0u);
   EXPECT_EQ(done.inflightKeys, 0u);
   EXPECT_EQ(done.parkedWaiters, 0u);
-  EXPECT_EQ(done.stream.submitted, 6u);
+  EXPECT_EQ(done.submitted, 6u);
 }
 
 TEST(AsyncScheduler, SnapshotCountsParkedWaiters) {
@@ -532,7 +556,7 @@ TEST(AsyncScheduler, SnapshotCountsParkedWaiters) {
   StreamConfig config;
   // Two workers: one blocks inside the gated solve while the other pops and
   // parks both duplicates (a single worker could never reach them).
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 8;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     std::unique_lock lock(gate_mutex);
@@ -547,10 +571,10 @@ TEST(AsyncScheduler, SnapshotCountsParkedWaiters) {
   futures.push_back(scheduler.submit(makeRequest(80)));  // identical: parks
   futures.push_back(scheduler.submit(makeRequest(80)));  // identical: parks
   // Wait until the worker owns the key and both duplicates are parked on it.
-  while (scheduler.stats().waitersAttached < 2) {
+  while (scheduler.snapshot().waitersAttached < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const SchedulerSnapshot mid = scheduler.snapshot();
+  const StreamStats mid = scheduler.snapshot();
   expectCoherent(mid);
   EXPECT_EQ(mid.inflightKeys, 1u);
   EXPECT_EQ(mid.parkedWaiters, 2u);
@@ -562,7 +586,7 @@ TEST(AsyncScheduler, SnapshotCountsParkedWaiters) {
   gate_cv.notify_all();
   for (auto& future : futures) EXPECT_TRUE(future.get().ok);
   scheduler.drain();
-  const SchedulerSnapshot done = scheduler.snapshot();
+  const StreamStats done = scheduler.snapshot();
   EXPECT_EQ(done.parkedWaiters, 0u);
   EXPECT_EQ(done.inflightKeys, 0u);
 }
@@ -575,7 +599,7 @@ TEST(AsyncScheduler, QueueExpiredRequestGetsFlaggedTimeoutNotAHang) {
   bool entered = false;
   bool release = false;
   StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.queueCapacity = 4;
   config.solveOverride = [&](const service::Request& request) -> service::RequestOutcome {
     if (request.name == "blocker-100") {
@@ -612,7 +636,7 @@ TEST(AsyncScheduler, QueueExpiredRequestGetsFlaggedTimeoutNotAHang) {
   EXPECT_TRUE(outcome.timedOut);
   EXPECT_NE(outcome.error.find("while queued"), std::string::npos);
   scheduler.drain();
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.failed, 1u);  // timeouts land in the failed bucket
   expectInvariant(stats);
 }
@@ -623,7 +647,7 @@ TEST(AsyncScheduler, CoalescedWaiterPastDeadlineGetsTimeoutNotLateResult) {
   bool solving = false;
   bool release = false;
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 8;
   config.solveOverride = [&](const service::Request&) -> service::RequestOutcome {
     std::unique_lock lock(mutex);
@@ -647,7 +671,7 @@ TEST(AsyncScheduler, CoalescedWaiterPastDeadlineGetsTimeoutNotLateResult) {
   service::Request duplicate = makeRequest(110);
   duplicate.deadline = service::Deadline::in(50);
   std::future<service::RequestOutcome> parked = scheduler.submit(duplicate);
-  while (scheduler.stats().waitersAttached < 1) {
+  while (scheduler.snapshot().waitersAttached < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
@@ -663,12 +687,12 @@ TEST(AsyncScheduler, CoalescedWaiterPastDeadlineGetsTimeoutNotLateResult) {
   EXPECT_TRUE(expired.timedOut);
   EXPECT_NE(expired.error.find("coalesced"), std::string::npos);
   scheduler.drain();
-  expectInvariant(scheduler.stats());
+  expectInvariant(scheduler.snapshot());
 }
 
 TEST(AsyncScheduler, InlineModeChecksDeadlineBeforeSolving) {
   StreamConfig config;
-  config.workers = 0;
+  config.service.threads = 0;
   AsyncScheduler scheduler(config);
   service::Request request = makeRequest(120);
   request.deadline = service::Deadline::in(0.01);
@@ -681,7 +705,7 @@ TEST(AsyncScheduler, InlineModeChecksDeadlineBeforeSolving) {
 
 TEST(AsyncScheduler, SubmitFaultSitePresentsAsAdmissionRefusal) {
   StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   AsyncScheduler scheduler(config);
   {
     fault::ScopedFaultSpec scope("sched.submit");

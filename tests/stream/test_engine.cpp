@@ -66,7 +66,7 @@ TEST(StreamEngine, OutcomesAreByteIdenticalToSolveBatchAcrossConfigs) {
   const Config configs[] = {{0, 1}, {2, 1}, {2, 4}, {4, 2}, {4, 64}};
   for (const Config& cfg : configs) {
     StreamConfig config;
-    config.workers = cfg.workers;
+    config.service.threads = cfg.workers;
     config.queueCapacity = cfg.queueCapacity;
     AsyncScheduler scheduler(config);
     VectorSource source(requests);
@@ -86,7 +86,7 @@ TEST(StreamEngine, OutcomesAreByteIdenticalToSolveBatchAcrossConfigs) {
 
 TEST(StreamEngine, EmissionIsInInputOrder) {
   StreamConfig config;
-  config.workers = 4;
+  config.service.threads = 4;
   config.queueCapacity = 2;
   AsyncScheduler scheduler(config);
   VectorSource source(mixedRequests(13, 4));
@@ -152,19 +152,19 @@ TEST(StreamEngine, NeverHoldsMoreThanQueuePlusInFlightRequests) {
   CountingSink sink(source);
 
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 2;
   AsyncScheduler scheduler(config);
   const EngineStats stats = runStream(source, sink, scheduler);
 
   EXPECT_EQ(stats.requests, 40u);
   EXPECT_EQ(sink.emitted(), 40u);
-  const std::size_t window = config.queueCapacity + config.workers;
+  const std::size_t window = config.queueCapacity + config.service.threads;
   EXPECT_LE(source.maxLive(), window + 1);
   // The scheduler's own high-water can additionally lag by up to one
   // uncounted completion per worker (futures become ready just before the
   // completion counters are bumped), so its bound is window + workers.
-  EXPECT_LE(stats.stream.maxInFlight, window + config.workers);
+  EXPECT_LE(stats.stream.maxInFlight, window + config.service.threads);
 }
 
 TEST(StreamEngine, EmitsAFinishedOutcomeWhileTheSourceWaitsForTheNextLine) {
@@ -218,7 +218,7 @@ TEST(StreamEngine, EmitsAFinishedOutcomeWhileTheSourceWaitsForTheNextLine) {
   for (const std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
     handshake.emitted0 = false;
     StreamConfig config;
-    config.workers = workers;
+    config.service.threads = workers;
     config.queueCapacity = 4;
     AsyncScheduler scheduler(config);
     WaitingSource source(mixedRequests(29, 3), handshake);
@@ -234,7 +234,7 @@ TEST(StreamEngine, FailuresFlowToTheSinkInPlace) {
   std::vector<service::Request> requests = mixedRequests(17, 4);
   requests[2].sweep.points = 0;  // fails in the portfolio
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   AsyncScheduler scheduler(config);
   VectorSource source(requests);
@@ -253,7 +253,7 @@ TEST(StreamEngine, FailuresFlowToTheSinkInPlace) {
 TEST(StreamEngine, SecondPassThroughTheSameSchedulerHitsTheCache) {
   const std::vector<service::Request> requests = mixedRequests(19, 4);
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   AsyncScheduler scheduler(config);
 
@@ -290,7 +290,7 @@ TEST(StreamEngine, AThrowingSourceDrainsInFlightWorkBeforePropagating) {
   };
 
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 4;
   AsyncScheduler scheduler(config);
   ThrowingSource source(mixedRequests(23, 3));
@@ -298,7 +298,7 @@ TEST(StreamEngine, AThrowingSourceDrainsInFlightWorkBeforePropagating) {
   EXPECT_THROW((void)runStream(source, sink, scheduler), std::runtime_error);
   // Nothing is left dangling: the scheduler settles immediately.
   scheduler.drain();
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   EXPECT_EQ(stats.completed, stats.submitted);
 }
 

@@ -48,7 +48,7 @@ void expectInvariant(const StreamStats& s) {
 /// every accepted request completes exactly once.
 TEST(StressAsyncScheduler, SubmitStormAgainstSnapshotPolling) {
   StreamConfig config;
-  config.workers = 3;
+  config.service.threads = 3;
   config.queueCapacity = 4;
   config.solveOverride = [](const service::Request&) { return okOutcome(); };
   AsyncScheduler scheduler(config);
@@ -62,13 +62,13 @@ TEST(StressAsyncScheduler, SubmitStormAgainstSnapshotPolling) {
 
   std::thread poller([&] {
     while (!stopPolling.load()) {
-      const SchedulerSnapshot snap = scheduler.snapshot();
-      EXPECT_GE(snap.stream.submitted, snap.stream.completed);
-      EXPECT_EQ(snap.inFlight, snap.stream.submitted - snap.stream.completed);
+      const StreamStats snap = scheduler.snapshot();
+      EXPECT_GE(snap.submitted, snap.completed);
+      EXPECT_EQ(snap.inFlight, snap.submitted - snap.completed);
       EXPECT_LE(snap.queueDepth, snap.queueCapacity);
-      EXPECT_LE(snap.stream.solved + snap.stream.cacheHits + snap.stream.coalesced +
-                    snap.stream.failed,
-                snap.stream.submitted);
+      EXPECT_LE(snap.solved + snap.cacheHits + snap.coalesced +
+                    snap.failed,
+                snap.submitted);
     }
   });
 
@@ -100,7 +100,7 @@ TEST(StressAsyncScheduler, SubmitStormAgainstSnapshotPolling) {
   poller.join();
   scheduler.close();
 
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   expectInvariant(stats);
   EXPECT_EQ(stats.submitted, kProducers * kPerProducer / 2 + acceptedTry.load());
   EXPECT_EQ(callbacksRun.load(), acceptedTry.load());
@@ -115,7 +115,7 @@ TEST(StressAsyncScheduler, SubmitStormAgainstSnapshotPolling) {
 /// race the inflight_ map reads against park/erase.
 TEST(StressAsyncScheduler, CoalesceStormThroughParkAndOverflowPaths) {
   StreamConfig config;
-  config.workers = 4;
+  config.service.threads = 4;
   config.queueCapacity = 8;
   config.maxCoalescedWaiters = 2;
   config.solveOverride = [](const service::Request&) {
@@ -129,7 +129,7 @@ TEST(StressAsyncScheduler, CoalesceStormThroughParkAndOverflowPaths) {
   std::atomic<bool> stopPolling{false};
   std::thread poller([&] {
     while (!stopPolling.load()) {
-      const SchedulerSnapshot snap = scheduler.snapshot();
+      const StreamStats snap = scheduler.snapshot();
       // Parked waiters can only exist for keys currently in flight.
       if (snap.inflightKeys == 0) EXPECT_EQ(snap.parkedWaiters, 0u);
       EXPECT_LE(snap.parkedWaiters,
@@ -153,7 +153,7 @@ TEST(StressAsyncScheduler, CoalesceStormThroughParkAndOverflowPaths) {
   poller.join();
   scheduler.close();
 
-  const StreamStats stats = scheduler.stats();
+  const StreamStats stats = scheduler.snapshot();
   expectInvariant(stats);
   EXPECT_EQ(stats.submitted, kProducers * kPerProducer);
   // The override bypasses the cache, so every completion is a fresh solve or
@@ -171,7 +171,7 @@ TEST(StressAsyncScheduler, CoalesceStormThroughParkAndOverflowPaths) {
 TEST(StressAsyncScheduler, CloseDuringSubmitStormDropsNothingAccepted) {
   for (int round = 0; round < 10; ++round) {
     StreamConfig config;
-    config.workers = 2;
+    config.service.threads = 2;
     config.queueCapacity = 4;
     config.solveOverride = [](const service::Request&) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -207,7 +207,7 @@ TEST(StressAsyncScheduler, CloseDuringSubmitStormDropsNothingAccepted) {
     closer.join();
     for (std::thread& t : producers) t.join();
 
-    const StreamStats stats = scheduler->stats();
+    const StreamStats stats = scheduler->snapshot();
     EXPECT_EQ(stats.submitted, accepted.load());
     EXPECT_EQ(stats.completed, accepted.load());
     EXPECT_EQ(completions.load(), accepted.load());
@@ -221,7 +221,7 @@ TEST(StressAsyncScheduler, CloseDuringSubmitStormDropsNothingAccepted) {
 /// must return (no lost wakeup), after which completed == submitted.
 TEST(StressAsyncScheduler, ConcurrentDrainersAllWake) {
   StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   config.queueCapacity = 8;
   config.solveOverride = [](const service::Request&) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -237,12 +237,12 @@ TEST(StressAsyncScheduler, ConcurrentDrainersAllWake) {
     std::vector<std::thread> drainers;
     for (int d = 0; d < 4; ++d) drainers.emplace_back([&] { scheduler.drain(); });
     for (std::thread& t : drainers) t.join();
-    const StreamStats stats = scheduler.stats();
+    const StreamStats stats = scheduler.snapshot();
     EXPECT_EQ(stats.completed, stats.submitted);
     for (auto& f : futures) EXPECT_TRUE(f.get().ok);
   }
   scheduler.close();
-  expectInvariant(scheduler.stats());
+  expectInvariant(scheduler.snapshot());
 }
 
 }  // namespace

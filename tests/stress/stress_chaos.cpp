@@ -154,7 +154,7 @@ bool isDocumentedStatus(int status) {
 /// serve and drain.
 TEST(StressChaos, FaultStormedStackStaysUpAndAnswersInDocumentedStatuses) {
   stream::StreamConfig config;
-  config.workers = 3;
+  config.service.threads = 3;
   config.queueCapacity = 16;
   HttpServerConfig serverConfig;
   serverConfig.pollTimeoutMs = 20;
@@ -235,7 +235,7 @@ TEST(StressChaos, FaultStormedStackStaysUpAndAnswersInDocumentedStatuses) {
 /// grossly violated deadlines surface as incomplete responses.
 TEST(StressChaos, DeadlineStormOnSaturatedQueueNeverHangs) {
   stream::StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.queueCapacity = 32;
   ChaosFixture fixture(config);
 
@@ -282,7 +282,7 @@ TEST(StressChaos, ShedFloodRecoversToCleanServiceAfterRelease) {
   bool release = false;  // let the blocker finish
 
   stream::StreamConfig config;
-  config.workers = 1;
+  config.service.threads = 1;
   config.queueCapacity = 1;
   // Only the named blocker parks; everything else solves instantly. With
   // the lone worker parked, nothing pops the queue, so its single slot
@@ -350,7 +350,7 @@ TEST(StressChaos, ShedFloodRecoversToCleanServiceAfterRelease) {
 /// the server.
 TEST(StressChaos, StalledConnectionsCannotStarveHealthyTraffic) {
   stream::StreamConfig config;
-  config.workers = 2;
+  config.service.threads = 2;
   HttpServerConfig serverConfig;
   serverConfig.pollTimeoutMs = 20;
   serverConfig.requestTimeoutMs = 120;
