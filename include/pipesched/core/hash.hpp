@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "pipesched/core/types.hpp"
@@ -63,7 +63,7 @@ class Hasher {
     return *this;
   }
 
-  Hasher& str(const std::string& text) {
+  Hasher& str(std::string_view text) {
     size(text.size());
     return bytes(text.data(), text.size());
   }
@@ -74,7 +74,8 @@ class Hasher {
   std::uint64_t state_;
 };
 
-/// Fixed-width lowercase hex rendering of a 64-bit hash.
-[[nodiscard]] std::string hashHex(std::uint64_t value);
+/// Fixed-width lowercase hex rendering of a 64-bit hash: writes exactly 16
+/// digits at `out`.
+void hashHex(std::uint64_t value, char* out);
 
 }  // namespace pipesched::core

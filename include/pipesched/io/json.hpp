@@ -6,6 +6,7 @@
 #include <ostream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pipesched/core/evaluation.hpp"
@@ -21,6 +22,10 @@ namespace pipesched::io {
 ///   w.key("n").value(3);
 ///   w.key("work").beginArray().value(1.5).value(2.0).endArray();
 ///   w.endObject();
+///
+/// Keys and string values are std::string_view, and every byte goes
+/// straight into the stream: escaping, numbers and reals are formatted in
+/// place with no temporary string.
 ///
 /// Structural misuse (value without key inside an object, unbalanced
 /// begin/end) throws std::logic_error — the writer is meant to make emitter
@@ -39,10 +44,10 @@ class JsonWriter {
   JsonWriter& endArray();
 
   /// Emits an object key; must be followed by exactly one value/container.
-  JsonWriter& key(const std::string& name);
+  JsonWriter& key(std::string_view name);
 
-  JsonWriter& value(const std::string& text);
-  JsonWriter& value(const char* text);
+  JsonWriter& value(std::string_view text);
+  JsonWriter& value(const char* text) { return value(std::string_view(text)); }
   JsonWriter& value(double number);  ///< non-finite values are emitted as null
   JsonWriter& value(std::size_t number);
   JsonWriter& value(int number);
@@ -51,7 +56,7 @@ class JsonWriter {
 
   /// Convenience: key + scalar value.
   template <typename T>
-  JsonWriter& kv(const std::string& name, const T& v) {
+  JsonWriter& kv(std::string_view name, const T& v) {
     key(name);
     return value(v);
   }
@@ -60,17 +65,28 @@ class JsonWriter {
   [[nodiscard]] bool complete() const noexcept;
 
  private:
+  friend std::string jsonEscape(std::string_view text);
+
   enum class Frame { kObjectExpectKey, kObjectExpectValue, kArray };
+  struct Level {
+    Frame frame;
+    bool hasItems = false;
+  };
 
   void beforeValue();
   void newlineIndent();
-  void writeEscaped(const std::string& text);
+  void open(char bracket, Frame frame);
+  void close(char bracket);
+  /// The one escaping path: `text` JSON-escaped, without the quotes.
+  void writeEscaped(std::string_view text);
+  void write(std::string_view bytes) {
+    out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
 
   std::ostream* out_;
   bool pretty_;
   bool rootWritten_ = false;
-  std::vector<Frame> stack_;
-  std::vector<bool> hasItems_;
+  std::vector<Level> stack_;
 };
 
 /// std::streambuf appending into a caller-owned std::string. The warm-path
@@ -117,7 +133,8 @@ class StringOutStream final : public std::ostream {
 void writeMappingJson(std::ostream& out, const core::IntervalMapping& mapping,
                       const core::Metrics* metrics = nullptr, bool pretty = true);
 
-/// JSON string escaping (exposed for tests and other emitters).
-[[nodiscard]] std::string jsonEscape(const std::string& text);
+/// JSON string escaping, without the quotes (exposed for tests and other
+/// emitters).
+[[nodiscard]] std::string jsonEscape(std::string_view text);
 
 }  // namespace pipesched::io

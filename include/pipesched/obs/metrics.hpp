@@ -16,6 +16,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -150,7 +151,11 @@ class Histogram {
   [[nodiscard]] HistogramSnapshot snapshot() const;
   void reset() noexcept;
 
-  [[nodiscard]] static std::size_t bucketIndex(std::uint64_t value) noexcept;
+  [[nodiscard]] static std::size_t bucketIndex(std::uint64_t value) noexcept {
+    if (value == 0) return 0;
+    const auto width = static_cast<std::size_t>(std::bit_width(value));
+    return width < kHistogramBuckets - 1 ? width : kHistogramBuckets - 1;
+  }
   /// Inclusive value range covered by bucket `index`.
   [[nodiscard]] static std::uint64_t bucketLow(std::size_t index) noexcept;
   [[nodiscard]] static std::uint64_t bucketHigh(std::size_t index) noexcept;

@@ -9,6 +9,7 @@
 // `stagesTotal() <= totalSeconds` hold by construction rather than by luck.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstddef>
@@ -67,7 +68,21 @@ struct RequestTrace {
   }
 };
 
-using TraceClock = std::chrono::steady_clock;
+/// The clock behind every span and stage timestamp. Where the CPU has an
+/// invariant time-stamp counter (x86-64), now() reads the counter and
+/// scales it by a rate measured once against steady_clock, the first time
+/// it is called (a 1 ms calibration). On a 4-core x86-64 VM that read costs
+/// about 27 ns against 65-76 ns for steady_clock, and a traced warm cache
+/// hit takes three. Elsewhere it is steady_clock.
+struct TraceClock {
+  using duration = std::chrono::nanoseconds;
+  using rep = duration::rep;
+  using period = duration::period;
+  using time_point = std::chrono::time_point<TraceClock>;
+  static constexpr bool is_steady = true;
+
+  [[nodiscard]] static time_point now() noexcept;
+};
 
 [[nodiscard]] inline double secondsSince(TraceClock::time_point start) noexcept {
   return std::chrono::duration<double>(TraceClock::now() - start).count();
@@ -78,11 +93,17 @@ using TraceClock = std::chrono::steady_clock;
 class TraceSpan {
  public:
   explicit TraceSpan(Stage stage, RequestTrace* trace = nullptr) noexcept
+      : TraceSpan(stage, trace, TraceClock::time_point{}) {}
+
+  /// As above, but starting at `start` unless it is the epoch: a stage that
+  /// directly follows another starts where that span stopped (stoppedAt()),
+  /// which saves a clock read per stage boundary.
+  TraceSpan(Stage stage, RequestTrace* trace, TraceClock::time_point start) noexcept
       : stage_(stage),
         recordHistogram_(metricsEnabled()),
         trace_(trace),
         active_(recordHistogram_ || trace_ != nullptr) {
-    if (active_) start_ = TraceClock::now();
+    if (active_) start_ = start == TraceClock::time_point{} ? TraceClock::now() : start;
   }
   ~TraceSpan() { stop(); }
   TraceSpan(const TraceSpan&) = delete;
@@ -93,11 +114,17 @@ class TraceSpan {
   double stop() noexcept {
     if (!active_) return 0;
     active_ = false;
-    const double seconds = secondsSince(start_);
-    if (recordHistogram_) stageHistogram(stage_).recordSeconds(seconds);
+    stopped_ = TraceClock::now();
+    const TraceClock::rep nanos = std::max<TraceClock::rep>((stopped_ - start_).count(), 0);
+    if (recordHistogram_) stageHistogram(stage_).record(static_cast<std::uint64_t>(nanos));
+    const double seconds = static_cast<double>(nanos) * 1e-9;
     if (trace_ != nullptr) trace_->add(stage_, seconds);
     return seconds;
   }
+
+  /// When stop() ended the span; the epoch while it runs or when it was
+  /// inactive.
+  [[nodiscard]] TraceClock::time_point stoppedAt() const noexcept { return stopped_; }
 
  private:
   Stage stage_;
@@ -105,6 +132,7 @@ class TraceSpan {
   RequestTrace* trace_;
   bool active_;
   TraceClock::time_point start_{};
+  TraceClock::time_point stopped_{};
 };
 
 }  // namespace pipesched::obs

@@ -3,8 +3,9 @@
 // requestIdentity() derives both identities of a Request from one walk over
 // every model-relevant field:
 //
-//   * key — an exact, human-auditable text rendering (hexfloat precision, so
-//     distinct doubles never collide). Used as the collision-free
+//   * key — the exact field bytes: each tag, each element count and each
+//     real's IEEE-754 bit pattern, so distinct doubles (+0 and -0 included)
+//     never collide. Not meant to be read; used as the collision-free
 //     cache/dedupe key.
 //   * fp — a 128-bit hash of the same canonical content, used to pick cache
 //     shards and as a compact identity in logs and reports.
@@ -37,8 +38,8 @@ struct RequestIdentity {
 /// per-threshold solves are valid for every sweep of the instance.
 [[nodiscard]] Fingerprint instanceFingerprint(const Request& request);
 
-/// Exact hexfloat rendering used by the canonical form (and by
-/// describeOutcome, which must stay bit-faithful to it).
+/// Exact hexfloat rendering: distinct doubles never share a rendering.
+/// describeOutcome and the portfolio's sub-result tags use it.
 [[nodiscard]] std::string renderRealHex(Real value);
 
 }  // namespace pipesched::service

@@ -137,10 +137,10 @@ using SubResultCache = ShardedLruStore<SubResult>;
 ///
 /// Entry identity is the 128-bit instance fingerprint (two independently
 /// seeded streams — instanceFingerprint in fingerprint.hpp) plus the unit
-/// key. Unlike the whole-result cache, the canonical instance *text* is not
+/// key. Unlike the whole-result cache, the exact instance key is not
 /// embedded in every entry key: with thousands of per-threshold units per
-/// instance it would replicate kilobytes of hexfloat rendering per entry
-/// and re-hash it on every unit lookup. The cost is a ~2^-64-per-pair
+/// instance it would replicate kilobytes of instance bytes per entry
+/// and re-hash them on every unit lookup. The cost is a ~2^-64-per-pair
 /// aliasing chance on a fingerprint collision — accepted for this layer
 /// (the exact-keyed whole-result cache still guards full requests).
 class SubShare {

@@ -33,6 +33,8 @@ struct Fingerprint {
 
   /// 32 lowercase hex digits.
   [[nodiscard]] std::string hex() const;
+  /// The same 32 digits, written at `out` (no terminating NUL).
+  void hex(char* out) const;
 };
 
 /// Threshold grid each portfolio member sweeps: `points` thresholds from the

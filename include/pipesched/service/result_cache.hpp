@@ -1,7 +1,7 @@
 // Sharded LRU stores for solved portfolio results and memoized sub-results.
 //
 // ShardedLruStore<Value> is the shared mechanism: keyed by an exact canonical
-// text key (collision-free; the 128-bit fingerprint only selects the shard),
+// byte key (collision-free; the 128-bit fingerprint only selects the shard),
 // so a hit always returns a value stored for a byte-identical key. Each shard
 // holds its own mutex, map and LRU list — concurrent lookups on different
 // shards never contend. Values are returned by copy: the store stays

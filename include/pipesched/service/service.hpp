@@ -17,10 +17,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "pipesched/obs/trace.hpp"
 #include "pipesched/service/fingerprint.hpp"
 #include "pipesched/service/portfolio.hpp"
 #include "pipesched/service/request.hpp"
@@ -154,14 +156,22 @@ class SchedulingService {
 
  private:
   /// The steps of the one request lifecycle, shared by every entry point:
-  /// the cache lookup (a hit comes back counted, its trace sealed); on a
-  /// miss the portfolio run (its stages traced); then the store, which
-  /// caches a complete result, seals the trace and counts the outcome.
+  /// the cache lookup (a hit comes back counted, with `trace` attached; its
+  /// span starts at `boundary` unless that is the epoch, and leaves its stop
+  /// time there); on a miss the portfolio run (its stages traced); then the
+  /// store, which caches a complete result, attaches the trace and counts
+  /// the outcome. run() chains the three for one request.
+  [[nodiscard]] RequestOutcome run(
+      const Request& request, const RequestIdentity& identity,
+      std::shared_ptr<obs::RequestTrace> trace,
+      obs::TraceClock::time_point boundary = obs::TraceClock::time_point{});
   [[nodiscard]] std::optional<RequestOutcome> lookup(const RequestIdentity& identity,
-                                                     obs::RequestTrace* trace);
+                                                     std::shared_ptr<obs::RequestTrace> trace,
+                                                     obs::TraceClock::time_point& boundary);
   [[nodiscard]] RequestOutcome solveMiss(const Request& request, const RequestIdentity& identity,
                                          obs::RequestTrace* trace);
-  void store(const RequestIdentity& identity, RequestOutcome& outcome, obs::RequestTrace* trace);
+  void store(const RequestIdentity& identity, RequestOutcome& outcome,
+             std::shared_ptr<obs::RequestTrace> trace);
 
   ServiceConfig config_;
   ResultCache cache_;

@@ -155,7 +155,8 @@ std::string usageText() {
 usage: pipesched <command> [options]
 
 commands:
-  batch      portfolio-solve many instances on a thread pool with a result cache
+  batch      portfolio-solve many instances with a result cache, the solves
+             fanned out across --threads
              [FILE|DIR...] [--requests FILE.jsonl] [--scenarios]
              [--kind E1..E4 [--count N] [--stages N] [--processors P] [--seed S]]
              [--points N] [--range X] [--overlap]

@@ -2,14 +2,12 @@
 
 namespace pipesched::core {
 
-std::string hashHex(std::uint64_t value) {
+void hashHex(std::uint64_t value, char* out) {
   static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
+    out[i] = digits[value & 0xF];
     value >>= 4;
   }
-  return out;
 }
 
 }  // namespace pipesched::core

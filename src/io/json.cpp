@@ -1,7 +1,7 @@
 #include "pipesched/io/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
@@ -9,159 +9,182 @@
 
 namespace pipesched::io {
 
-std::string jsonEscape(const std::string& text) {
+std::string jsonEscape(std::string_view text) {
   std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  out.reserve(text.size());
+  StringOutStream stream(out);
+  JsonWriter(stream).writeEscaped(text);
   return out;
 }
 
-JsonWriter::JsonWriter(std::ostream& out, bool pretty) : out_(&out), pretty_(pretty) {}
+JsonWriter::JsonWriter(std::ostream& out, bool pretty) : out_(&out), pretty_(pretty) {
+  stack_.reserve(8);
+}
 
 JsonWriter::~JsonWriter() = default;
 
 bool JsonWriter::complete() const noexcept { return rootWritten_ && stack_.empty(); }
 
+void JsonWriter::writeEscaped(std::string_view text) {
+  std::size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    const char* escape = nullptr;
+    switch (c) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    write(text.substr(run, i - run));
+    run = i + 1;
+    if (escape != nullptr) {
+      write(escape);
+    } else {
+      static const char* digits = "0123456789abcdef";
+      const char code[] = {'\\', 'u', '0', '0', digits[(c >> 4) & 0xF], digits[c & 0xF]};
+      write(std::string_view(code, sizeof code));
+    }
+  }
+  write(text.substr(run));
+}
+
 void JsonWriter::newlineIndent() {
   if (!pretty_) return;
-  *out_ << '\n';
-  for (std::size_t i = 0; i < stack_.size(); ++i) *out_ << "  ";
+  out_->put('\n');
+  for (std::size_t i = 0; i < stack_.size(); ++i) write("  ");
 }
 
 void JsonWriter::beforeValue() {
   if (stack_.empty()) {
     if (rootWritten_) throw std::logic_error("JsonWriter: multiple top-level values");
+    rootWritten_ = true;
     return;
   }
-  switch (stack_.back()) {
+  Level& level = stack_.back();
+  switch (level.frame) {
     case Frame::kObjectExpectKey:
       throw std::logic_error("JsonWriter: value emitted where an object key is required");
     case Frame::kObjectExpectValue:
-      stack_.back() = Frame::kObjectExpectKey;
+      level.frame = Frame::kObjectExpectKey;
       return;  // the key already placed the separator
     case Frame::kArray:
-      if (hasItems_.back()) *out_ << ',';
+      if (level.hasItems) out_->put(',');
+      level.hasItems = true;
       newlineIndent();
-      hasItems_.back() = true;
       return;
   }
 }
 
-JsonWriter& JsonWriter::beginObject() {
+void JsonWriter::open(char bracket, Frame frame) {
   beforeValue();
-  *out_ << '{';
-  stack_.push_back(Frame::kObjectExpectKey);
-  hasItems_.push_back(false);
-  rootWritten_ = true;
+  out_->put(bracket);
+  stack_.push_back(Level{frame});
+}
+
+void JsonWriter::close(char bracket) {
+  const bool had = stack_.back().hasItems;
+  stack_.pop_back();
+  if (had) newlineIndent();
+  out_->put(bracket);
+}
+
+JsonWriter& JsonWriter::beginObject() {
+  open('{', Frame::kObjectExpectKey);
   return *this;
 }
 
 JsonWriter& JsonWriter::endObject() {
-  if (stack_.empty() || stack_.back() != Frame::kObjectExpectKey) {
+  if (stack_.empty() || stack_.back().frame != Frame::kObjectExpectKey) {
     throw std::logic_error("JsonWriter: endObject outside an object (or after a dangling key)");
   }
-  const bool had = hasItems_.back();
-  stack_.pop_back();
-  hasItems_.pop_back();
-  if (had) newlineIndent();
-  *out_ << '}';
+  close('}');
   return *this;
 }
 
 JsonWriter& JsonWriter::beginArray() {
-  beforeValue();
-  *out_ << '[';
-  stack_.push_back(Frame::kArray);
-  hasItems_.push_back(false);
-  rootWritten_ = true;
+  open('[', Frame::kArray);
   return *this;
 }
 
 JsonWriter& JsonWriter::endArray() {
-  if (stack_.empty() || stack_.back() != Frame::kArray) {
+  if (stack_.empty() || stack_.back().frame != Frame::kArray) {
     throw std::logic_error("JsonWriter: endArray outside an array");
   }
-  const bool had = hasItems_.back();
-  stack_.pop_back();
-  hasItems_.pop_back();
-  if (had) newlineIndent();
-  *out_ << ']';
+  close(']');
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& name) {
-  if (stack_.empty() || stack_.back() != Frame::kObjectExpectKey) {
+JsonWriter& JsonWriter::key(std::string_view name) {
+  if (stack_.empty() || stack_.back().frame != Frame::kObjectExpectKey) {
     throw std::logic_error("JsonWriter: key outside an object");
   }
-  if (hasItems_.back()) *out_ << ',';
+  Level& level = stack_.back();
+  if (level.hasItems) out_->put(',');
+  level.hasItems = true;
   newlineIndent();
-  hasItems_.back() = true;
-  *out_ << '"' << jsonEscape(name) << '"' << (pretty_ ? ": " : ":");
-  stack_.back() = Frame::kObjectExpectValue;
+  out_->put('"');
+  writeEscaped(name);
+  write(pretty_ ? "\": " : "\":");
+  level.frame = Frame::kObjectExpectValue;
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& text) {
+JsonWriter& JsonWriter::value(std::string_view text) {
   beforeValue();
-  *out_ << '"' << jsonEscape(text) << '"';
-  rootWritten_ = true;
+  out_->put('"');
+  writeEscaped(text);
+  out_->put('"');
   return *this;
 }
-
-JsonWriter& JsonWriter::value(const char* text) { return value(std::string(text)); }
 
 JsonWriter& JsonWriter::value(double number) {
   beforeValue();
   if (!std::isfinite(number)) {
-    *out_ << "null";
+    write("null");
   } else {
-    *out_ << formatReal(number);
+    char buf[kRealChars];
+    write(std::string_view(buf, static_cast<std::size_t>(formatReal(number, buf) - buf)));
   }
-  rootWritten_ = true;
   return *this;
 }
 
+namespace {
+
+template <typename Integer>
+std::string_view integerText(Integer number, char (&buf)[24]) {
+  const char* const end = std::to_chars(buf, buf + sizeof buf, number).ptr;
+  return std::string_view(buf, static_cast<std::size_t>(end - buf));
+}
+
+}  // namespace
+
 JsonWriter& JsonWriter::value(std::size_t number) {
   beforeValue();
-  *out_ << number;
-  rootWritten_ = true;
+  char buf[24];
+  write(integerText(number, buf));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(int number) {
   beforeValue();
-  *out_ << number;
-  rootWritten_ = true;
+  char buf[24];
+  write(integerText(number, buf));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool flag) {
   beforeValue();
-  *out_ << (flag ? "true" : "false");
-  rootWritten_ = true;
+  write(flag ? "true" : "false");
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
   beforeValue();
-  *out_ << "null";
-  rootWritten_ = true;
+  write("null");
   return *this;
 }
 

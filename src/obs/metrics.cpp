@@ -1,6 +1,5 @@
 #include "pipesched/obs/metrics.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -31,12 +30,6 @@ const char* unitName(Unit unit) noexcept {
 // ---------------------------------------------------------------------------
 // Histogram.
 // ---------------------------------------------------------------------------
-
-std::size_t Histogram::bucketIndex(std::uint64_t value) noexcept {
-  if (value == 0) return 0;
-  const auto width = static_cast<std::size_t>(std::bit_width(value));
-  return width < kHistogramBuckets - 1 ? width : kHistogramBuckets - 1;
-}
 
 std::uint64_t Histogram::bucketLow(std::size_t index) noexcept {
   return index == 0 ? 0 : std::uint64_t{1} << (index - 1);

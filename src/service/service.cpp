@@ -32,24 +32,30 @@ MemberBatchStats& memberRow(std::vector<MemberBatchStats>& rows, const std::stri
   return rows.emplace_back(MemberBatchStats{solver});
 }
 
-/// Opens a request's trace (its parse stage) when tracing is on.
-std::optional<obs::RequestTrace> openTrace(const Request& request) {
-  std::optional<obs::RequestTrace> trace;
-  if (obs::tracingEnabled()) {
-    trace.emplace();
-    trace->totalSeconds = request.parseSeconds;
-    if (request.parseSeconds > 0) trace->add(obs::Stage::kParse, request.parseSeconds);
-  }
+/// Starts `trace` with the request's parse stage.
+void openTrace(const Request& request, obs::RequestTrace& trace) {
+  trace.totalSeconds = request.parseSeconds;
+  if (request.parseSeconds > 0) trace.add(obs::Stage::kParse, request.parseSeconds);
+}
+
+/// The request's own opened trace when tracing is on, else null.
+std::shared_ptr<obs::RequestTrace> openTrace(const Request& request) {
+  if (!obs::tracingEnabled()) return nullptr;
+  auto trace = std::make_shared<obs::RequestTrace>();
+  openTrace(request, *trace);
   return trace;
 }
 
 /// Walks the request's identity under a fingerprint span, folded into
-/// `trace` when one is open.
-RequestIdentity identify(const Request& request, std::optional<obs::RequestTrace>& trace) {
-  obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, trace ? &*trace : nullptr);
+/// `trace` when one is open. The span starts at `boundary` unless that is
+/// the epoch, and leaves its stop time there for the stage that follows.
+RequestIdentity identify(const Request& request, obs::RequestTrace* trace,
+                         obs::TraceClock::time_point& boundary) {
+  obs::TraceSpan fingerprintSpan(obs::Stage::kFingerprint, trace, boundary);
   RequestIdentity identity = requestIdentity(request);
   const double fingerprintSeconds = fingerprintSpan.stop();
-  if (trace) trace->totalSeconds += fingerprintSeconds;
+  if (trace != nullptr) trace->totalSeconds += fingerprintSeconds;
+  boundary = fingerprintSpan.stoppedAt();
   return identity;
 }
 
@@ -113,30 +119,41 @@ SchedulingService::SchedulingService(ServiceConfig config)
       subCache_(config.subCacheCapacity) {}
 
 RequestOutcome SchedulingService::solve(const Request& request) {
-  std::optional<obs::RequestTrace> trace = openTrace(request);
-  const RequestIdentity identity = identify(request, trace);
-  return solve(request, identity, trace ? &*trace : nullptr);
+  std::shared_ptr<obs::RequestTrace> trace = openTrace(request);
+  obs::TraceClock::time_point boundary;
+  const RequestIdentity identity = identify(request, trace.get(), boundary);
+  return run(request, identity, std::move(trace), boundary);
 }
 
 RequestOutcome SchedulingService::solve(const Request& request,
                                         const RequestIdentity& identity) {
   // The identity walk happened outside; its cost is the caller's to report.
-  std::optional<obs::RequestTrace> trace = openTrace(request);
-  return solve(request, identity, trace ? &*trace : nullptr);
+  return run(request, identity, openTrace(request));
 }
 
 RequestOutcome SchedulingService::solve(const Request& request,
                                         const RequestIdentity& identity,
                                         obs::RequestTrace* trace) {
-  if (std::optional<RequestOutcome> hit = lookup(identity, trace)) return std::move(*hit);
-  RequestOutcome outcome = solveMiss(request, identity, trace);
-  store(identity, outcome, trace);
+  return run(request, identity,
+             trace != nullptr ? std::make_shared<obs::RequestTrace>(std::move(*trace))
+                              : nullptr);
+}
+
+RequestOutcome SchedulingService::run(const Request& request, const RequestIdentity& identity,
+                                      std::shared_ptr<obs::RequestTrace> trace,
+                                      obs::TraceClock::time_point boundary) {
+  if (std::optional<RequestOutcome> hit = lookup(identity, trace, boundary)) {
+    return std::move(*hit);
+  }
+  RequestOutcome outcome = solveMiss(request, identity, trace.get());
+  store(identity, outcome, std::move(trace));
   return outcome;
 }
 
-std::optional<RequestOutcome> SchedulingService::lookup(const RequestIdentity& identity,
-                                                        obs::RequestTrace* trace) {
-  obs::TraceSpan lookupSpan(obs::Stage::kCacheLookup, trace);
+std::optional<RequestOutcome> SchedulingService::lookup(
+    const RequestIdentity& identity, std::shared_ptr<obs::RequestTrace> trace,
+    obs::TraceClock::time_point& boundary) {
+  obs::TraceSpan lookupSpan(obs::Stage::kCacheLookup, trace.get(), boundary);
   // Armed `cache.get` faults force a miss — the solve path must stay correct
   // (if slower) when the cache tier misbehaves.
   std::optional<PortfolioResult> cached;
@@ -144,6 +161,7 @@ std::optional<RequestOutcome> SchedulingService::lookup(const RequestIdentity& i
     cached = cache_.get(identity.fp, identity.key);
   }
   const double lookupSeconds = lookupSpan.stop();
+  boundary = lookupSpan.stoppedAt();
   if (trace != nullptr) trace->totalSeconds += lookupSeconds;
   if (!cached) return std::nullopt;
   RequestOutcome outcome;
@@ -151,9 +169,7 @@ std::optional<RequestOutcome> SchedulingService::lookup(const RequestIdentity& i
   outcome.result = std::move(*cached);
   outcome.fromCache = true;
   outcome.fingerprint = identity.fp;
-  if (trace != nullptr) {
-    outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
-  }
+  outcome.trace = std::move(trace);
   countOutcome(outcome);
   return outcome;
 }
@@ -193,16 +209,14 @@ RequestOutcome SchedulingService::solveMiss(const Request& request,
 }
 
 void SchedulingService::store(const RequestIdentity& identity, RequestOutcome& outcome,
-                              obs::RequestTrace* trace) {
+                              std::shared_ptr<obs::RequestTrace> trace) {
   // Degraded (deadline/failure-cut) fronts are partial by timing accident —
   // caching one would serve the truncation to every later identical request.
   if (outcome.ok && !outcome.result.degraded &&
       !fault::injected(fault::sites::kCachePut)) {
     cache_.put(identity.fp, identity.key, outcome.result);
   }
-  if (trace != nullptr) {
-    outcome.trace = std::make_shared<const obs::RequestTrace>(std::move(*trace));
-  }
+  outcome.trace = std::move(trace);
   countOutcome(outcome);
 }
 
@@ -219,33 +233,43 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
   struct Group {
     RequestIdentity identity;
     std::vector<std::size_t> indices;  // input slots sharing this key
-    std::optional<obs::RequestTrace> trace;
   };
+  // With tracing on, every slot's trace lives in one block that each
+  // outcome's trace aliases, so a cache hit attaches its trace without an
+  // allocation of its own.
+  std::shared_ptr<obs::RequestTrace[]> traces;
+  if (obs::tracingEnabled()) traces = std::make_shared<obs::RequestTrace[]>(requests.size());
+  const auto traceOf = [&](std::size_t slot) {
+    return traces ? std::shared_ptr<obs::RequestTrace>(traces, &traces[slot]) : nullptr;
+  };
+  // Each new group's cache lookup follows its identity walk directly, on
+  // the calling thread. The spans are chained: a lookup starts where its
+  // fingerprint span stopped, and each request's fingerprint span where the
+  // previous request's last span stopped, so the few tens of nanoseconds
+  // between two requests (the previous answer moved into its slot, this
+  // trace opened) count toward the fingerprint stage. Then the misses are
+  // solved by the calling thread plus up to threads − 1 threads started for
+  // this call, each claiming the next miss from one cursor (within-request
+  // solving stays serial in its thread). Misses are stored after the join,
+  // in group order, so which entries a small cache keeps does not depend on
+  // which solve finished first.
   std::vector<Group> groups;
   groups.reserve(requests.size());  // never reallocates: `byKey` views keys in place
   std::unordered_map<std::string_view, std::size_t> byKey;
+  std::vector<Group*> misses;
+  obs::TraceClock::time_point boundary;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    std::optional<obs::RequestTrace> trace = openTrace(requests[i]);
-    RequestIdentity identity = identify(requests[i], trace);
+    obs::RequestTrace* const trace = traces ? &traces[i] : nullptr;
+    if (trace != nullptr) openTrace(requests[i], *trace);
+    RequestIdentity identity = identify(requests[i], trace, boundary);
     if (const auto found = byKey.find(identity.key); found != byKey.end()) {
       groups[found->second].indices.push_back(i);
       continue;
     }
-    Group& group = groups.emplace_back(Group{std::move(identity), {i}, std::move(trace)});
+    Group& group = groups.emplace_back(Group{std::move(identity), {i}});
     byKey.emplace(group.identity.key, groups.size() - 1);
-  }
-
-  // Cache hits are answered up front, on the calling thread; then the misses
-  // are solved by the calling thread plus up to threads − 1 threads started
-  // for this call, each claiming the next miss from one cursor (within-request
-  // solving stays serial in its thread). Misses are stored after the join, in
-  // group order, so which entries a small cache keeps does not depend on
-  // which solve finished first.
-  std::vector<Group*> misses;
-  for (Group& group : groups) {
-    if (std::optional<RequestOutcome> hit =
-            lookup(group.identity, group.trace ? &*group.trace : nullptr)) {
-      batch.outcomes[group.indices.front()] = std::move(*hit);
+    if (std::optional<RequestOutcome> hit = lookup(group.identity, traceOf(i), boundary)) {
+      batch.outcomes[i] = std::move(*hit);
     } else {
       misses.push_back(&group);
     }
@@ -264,7 +288,7 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
           Group& group = *misses[m];
           const std::size_t slot = group.indices.front();
           batch.outcomes[slot] = solveMiss(requests[slot], group.identity,
-                                           group.trace ? &*group.trace : nullptr);
+                                           traces ? &traces[slot] : nullptr);
         }
       } catch (...) {
         error = std::current_exception();
@@ -291,7 +315,7 @@ BatchResult SchedulingService::solveBatch(const std::vector<Request>& requests) 
   // `deduped`, so the buckets sum to `requests`.
   for (Group& group : groups) {
     RequestOutcome& first = batch.outcomes[group.indices.front()];
-    if (!first.fromCache) store(group.identity, first, group.trace ? &*group.trace : nullptr);
+    if (!first.fromCache) store(group.identity, first, traceOf(group.indices.front()));
     if (!first.ok) {
       batch.stats.failed += group.indices.size();
     } else if (first.fromCache) {

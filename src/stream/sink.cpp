@@ -7,7 +7,9 @@ void writeOutcomeFields(io::JsonWriter& w, const std::string& name,
   w.kv("name", name);
   // The identity travels on the outcome — no re-canonicalization here, which
   // matters on warm streams where emission competes with sub-ms cache hits.
-  w.kv("fingerprint", outcome.fingerprint.hex());
+  char fingerprint[32];
+  outcome.fingerprint.hex(fingerprint);
+  w.kv("fingerprint", std::string_view(fingerprint, sizeof fingerprint));
   w.kv("ok", outcome.ok);
   if (!outcome.ok) {
     w.kv("error", outcome.error);

@@ -99,6 +99,35 @@ TEST(TraceSpan, NestedSpansRecordTheirOwnStages) {
             trace.stageSeconds[idx(Stage::kFingerprint)]);
 }
 
+TEST(TraceSpan, ChainedSpanStartsWhereThePreviousStopped) {
+  ScopedMetricsEnabled off(false);
+  RequestTrace trace;
+  TraceSpan first(Stage::kFingerprint, &trace);
+  first.stop();
+  ASSERT_NE(first.stoppedAt(), TraceClock::time_point{});
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  TraceSpan second(Stage::kCacheLookup, &trace, first.stoppedAt());
+  // The chained span covers the sleep before it was constructed.
+  EXPECT_GE(second.stop(), 0.002);
+  EXPECT_GE(second.stoppedAt(), first.stoppedAt());
+  // An inactive span never read the clock, so it has no stop time.
+  TraceSpan inactive(Stage::kMerge);
+  inactive.stop();
+  EXPECT_EQ(inactive.stoppedAt(), TraceClock::time_point{});
+}
+
+TEST(TraceClock, MeasuresTheSameIntervalAsSteadyClock) {
+  const TraceClock::time_point traceStart = TraceClock::now();
+  const auto steadyStart = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto steadyEnd = std::chrono::steady_clock::now();
+  const TraceClock::time_point traceEnd = TraceClock::now();
+  const double steadySeconds = std::chrono::duration<double>(steadyEnd - steadyStart).count();
+  const double traceSeconds = std::chrono::duration<double>(traceEnd - traceStart).count();
+  EXPECT_GE(traceSeconds, steadySeconds * 0.99);
+  EXPECT_LE(traceSeconds, steadySeconds * 1.05 + 0.002);
+}
+
 TEST(RequestTrace, StagesTotalSumsEverySlice) {
   RequestTrace trace;
   trace.add(Stage::kParse, 0.25);
